@@ -88,10 +88,18 @@ func TestClaimObsExposition(t *testing.T) {
 		`tp_checkpoints_total{kind="delta"}`,
 		`tp_store_op_seconds_count{op="put"}`,
 		"tp_node_query_snapshot_shared_total",
+		`tp_snapshot_cut_cache_total{result="hit"}`,
+		`tp_snapshot_cut_cache_total{result="miss"}`,
 	} {
 		if _, ok := nodeSeries[want]; !ok {
 			t.Errorf("node exposition is missing %s", want)
 		}
+	}
+	// The aggregator's fetch came after the checkpoint's cut with no
+	// mutation between: it must have been answered from the cut cache.
+	if hit, miss := nodeSeries[`tp_snapshot_cut_cache_total{result="hit"}`],
+		nodeSeries[`tp_snapshot_cut_cache_total{result="miss"}`]; hit != 1 || miss != 1 {
+		t.Errorf("cut cache after checkpoint + fetch: %v hits / %v misses, want 1/1", hit, miss)
 	}
 
 	aggText, err := serve.NewClient(aggSrv.URL).Metrics()

@@ -10,6 +10,9 @@ package repro
 // AggregatorConfig.QueryTimeout.
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -21,6 +24,7 @@ import (
 	"repro/sample"
 	"repro/sample/serve"
 	"repro/sample/shard"
+	"repro/sample/snap"
 )
 
 // Claim (plan-cache law): on an unchanged 2-node fleet, the first
@@ -213,4 +217,230 @@ func TestClaimQueryTimeoutHungNode(t *testing.T) {
 		t.Fatalf("query took %v against a hung node, QueryTimeout is 200ms", elapsed)
 	}
 	t.Logf("hung-node query failed in %v: %v", elapsed, err)
+}
+
+// cutCacheTwin is the in-process reference a served node is checked
+// against: the same engine, built with the same seed, driven through
+// the same calls directly.
+type cutCacheTwin struct {
+	ingest   func([]int64)
+	sampleK  func(k int) []sample.Outcome
+	snapshot func() ([]byte, error)
+}
+
+// Claim (snapshot cut cache): a node answers GET /snapshot and its
+// checkpoints from the last cut while its state epoch is unchanged,
+// and that cache is invisible. Driven through ingest, /sample,
+// /snapshot twice, Checkpoint and /snapshot again, every 200 body is
+// byte-identical to a twin engine's fresh Snapshot, every ETag is the
+// body's snap.Name, a query or an acknowledged ingest between two
+// fetches moves the ETag (an old If-None-Match gets the new bytes, not
+// a 304), and a node restored from checkpoints cut through the cache
+// continues SampleK bit-for-bit with the live node and the twin. Both
+// engine shapes are covered: a coordinator node, and a bare
+// random-order sampler node whose queries consume its RNG.
+func TestClaimQuerySnapshotCutCache(t *testing.T) {
+	gen := stream.NewGenerator(rng.New(41))
+	batches := [][]int64{gen.Zipf(256, 3000, 1.2), gen.Zipf(256, 500, 1.2), gen.Zipf(256, 200, 1.2)}
+	t.Run("coordinator", func(t *testing.T) {
+		mk := func() *shard.Coordinator {
+			return shard.NewLp(2, 256, 1<<14, 0.2, 19, shard.Config{Shards: 2, Queries: 4})
+		}
+		twin := mk()
+		defer twin.Close()
+		checkCutCache(t, func(cfg serve.NodeConfig) *serve.Node { return serve.NewNode(mk(), cfg) },
+			cutCacheTwin{
+				ingest:   twin.ProcessBatch,
+				sampleK:  func(k int) []sample.Outcome { outs, _ := twin.SampleK(k); return outs },
+				snapshot: twin.Snapshot,
+			}, 4, batches)
+	})
+	t.Run("random-order", func(t *testing.T) {
+		mk := func() sample.Sampler { return sample.NewRandomOrderL2(1<<14, 64, 23) }
+		twin := mk()
+		checkCutCache(t, func(cfg serve.NodeConfig) *serve.Node { return serve.NewSamplerNode(mk(), cfg) },
+			cutCacheTwin{
+				ingest:   twin.ProcessBatch,
+				sampleK:  func(k int) []sample.Outcome { outs, _ := twin.SampleK(k); return outs },
+				snapshot: func() ([]byte, error) { return snap.Snapshot(twin) },
+			}, 1, batches)
+	})
+}
+
+func checkCutCache(t *testing.T, mkNode func(serve.NodeConfig) *serve.Node, twin cutCacheTwin, k int, batches [][]int64) {
+	t.Helper()
+	st, err := serve.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := mkNode(serve.NodeConfig{Store: st})
+	defer node.Close()
+	srv := httptest.NewServer(node.Handler())
+	defer srv.Close()
+	cl := serve.NewClient(srv.URL)
+
+	ingest := func(c *serve.Client, items []int64) {
+		t.Helper()
+		if _, err := c.Ingest(items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// draws has the node behind c draw k and checks it drew want.
+	draws := func(step string, c *serve.Client, want []sample.Outcome) {
+		t.Helper()
+		resp, err := c.SampleK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Outcomes) != len(want) {
+			t.Fatalf("%s: node answered %d draws, twin %d", step, len(resp.Outcomes), len(want))
+		}
+		for i, o := range want {
+			if g := resp.Outcomes[i]; g.Item != o.Item || g.Freq != o.Freq || g.Bottom != o.Bottom {
+				t.Fatalf("%s: draw %d is %+v, twin drew %+v", step, i, g, o)
+			}
+		}
+	}
+	twinCut := func() []byte {
+		t.Helper()
+		data, err := twin.snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// fetch revalidates against prev (If-None-Match; "" fetches
+	// unconditionally) and checks the answer against the twin's fresh
+	// cut. It returns the served state name and whether it was a 304.
+	fetch := func(step, prev string) (string, bool) {
+		t.Helper()
+		want := twinCut()
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/snapshot", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != "" {
+			req.Header.Set("If-None-Match", `"`+prev+`"`)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch resp.StatusCode {
+		case http.StatusNotModified:
+			if prev != snap.Name(want) {
+				t.Fatalf("%s: 304 for %s, but the state is now %s", step, prev, snap.Name(want))
+			}
+			return prev, true
+		case http.StatusOK:
+		default:
+			t.Fatalf("%s: status %d: %s", step, resp.StatusCode, body)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("%s: served %d bytes differ from the twin's fresh %d-byte Snapshot", step, len(body), len(want))
+		}
+		name := snap.Name(body)
+		if resp.Header.Get("ETag") != `"`+name+`"` || resp.Header.Get("X-Snapshot-Name") != name {
+			t.Fatalf("%s: ETag %s / X-Snapshot-Name %s, want the body's name %s",
+				step, resp.Header.Get("ETag"), resp.Header.Get("X-Snapshot-Name"), name)
+		}
+		return name, false
+	}
+	// checkpoint cuts on both sides: the twin's cut keeps it in step
+	// with a node cut that misses (a cut drops the coordinator's shared
+	// query snapshot).
+	checkpoint := func(step string) {
+		t.Helper()
+		if _, err := node.Checkpoint(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		twinCut()
+	}
+
+	ingest(cl, batches[0])
+	twin.ingest(batches[0])
+	draws("first query", cl, twin.sampleK(k))
+	first, _ := fetch("first fetch", "")
+	if name, notMod := fetch("repeat fetch", first); !notMod || name != first {
+		t.Fatalf("repeat fetch of an untouched node: name %s (304=%v), want a 304 for %s", name, notMod, first)
+	}
+	checkpoint("checkpoint after fetch")
+	if _, notMod := fetch("fetch after checkpoint", first); !notMod {
+		t.Fatal("a checkpoint moved the state name")
+	}
+	draws("query between fetches", cl, twin.sampleK(k))
+	afterQuery, notMod := fetch("fetch after query", first)
+	if notMod || afterQuery == first {
+		t.Fatalf("a /sample between fetches left the ETag at %s (304=%v)", first, notMod)
+	}
+	ingest(cl, batches[1])
+	twin.ingest(batches[1])
+	afterIngest, notMod := fetch("fetch after ingest", afterQuery)
+	if notMod || afterIngest == afterQuery {
+		t.Fatalf("an acknowledged ingest left the ETag at %s (304=%v)", afterQuery, notMod)
+	}
+	checkpoint("checkpoint after ingest")
+	if _, notMod := fetch("final fetch", afterIngest); !notMod {
+		t.Fatal("an untouched node did not answer 304 after its checkpoint")
+	}
+	text, err := cl.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both checkpoints and all three 304s followed a cut of the same
+	// epoch.
+	if hits := parseExposition(t, text)[`tp_snapshot_cut_cache_total{result="hit"}`]; hits != 5 {
+		t.Fatalf(`tp_snapshot_cut_cache_total{result="hit"} = %v, want 5`, hits)
+	}
+
+	// Restore from a copy of the store (the live node keeps writing to
+	// its own) and step live, restored and twin side by side.
+	copyStore, err := serve.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := st.Names()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		data, err := st.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := copyStore.Put(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored, skipped, err := serve.Restore(copyStore, serve.NodeConfig{})
+	if err != nil || len(skipped) != 0 {
+		t.Fatalf("restore: %v (skipped %v)", err, skipped)
+	}
+	defer restored.Close()
+	rsrv := httptest.NewServer(restored.Handler())
+	defer rsrv.Close()
+	rcl := serve.NewClient(rsrv.URL)
+	for round := 0; round < 3; round++ {
+		want := twin.sampleK(k)
+		draws(fmt.Sprintf("round %d live", round), cl, want)
+		draws(fmt.Sprintf("round %d restored", round), rcl, want)
+		ingest(cl, batches[2])
+		ingest(rcl, batches[2])
+		twin.ingest(batches[2])
+		state := twinCut()
+		for _, c := range []*serve.Client{cl, rcl} {
+			data, _, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, state) {
+				t.Fatalf("round %d: node %s diverges from the twin", round, c.Base)
+			}
+		}
+	}
 }

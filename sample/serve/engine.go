@@ -25,11 +25,14 @@ import (
 // mirrors the coordinator surface the handlers were built against.
 // SampleKLenShared's bool reports whether the answer reused a shared
 // query snapshot (the coordinator's version-stamped cache) — engines
-// without one always report false.
+// without one always report false. Epoch is the state epoch the
+// node's cut cache keys on (see Node.cut): it moves with every call
+// that can change Snapshot's bytes — ingest and queries alike.
 type engine interface {
 	ProcessBatch(items []int64) error
 	SampleKLenShared(k int) ([]sample.Outcome, int, int64, bool)
 	Snapshot() ([]byte, error)
+	Epoch() uint64
 	StreamLen() int64
 	BitsUsed() int64
 	Describe() string
@@ -49,6 +52,7 @@ func (e coordEngine) SampleKLenShared(k int) ([]sample.Outcome, int, int64, bool
 	return e.c.SampleKLenShared(k)
 }
 func (e coordEngine) Snapshot() ([]byte, error) { return e.c.Snapshot() }
+func (e coordEngine) Epoch() uint64             { return e.c.Epoch() }
 func (e coordEngine) StreamLen() int64          { return e.c.StreamLen() }
 func (e coordEngine) BitsUsed() int64           { return e.c.BitsUsed() }
 func (e coordEngine) Describe() string          { return e.c.Describe() }
@@ -62,10 +66,13 @@ func (e coordEngine) Close()                    { e.c.Close() }
 // consume randomness). That cost is fine — the single-stream kinds
 // this shape exists for are cheap per update, and their checkpoint is
 // snap.Snapshot of the one sampler, which the aggregator already
-// merges as a single-state pool (explodeStates).
+// merges as a single-state pool (explodeStates). epoch is the engine's
+// state epoch, bumped under mu by every batch (a rejected one may have
+// ingested a prefix) and every query.
 type samplerEngine struct {
 	mu       sync.Mutex
 	s        sample.Sampler
+	epoch    uint64
 	describe string
 	queries  int
 }
@@ -121,6 +128,7 @@ func describeSpec(spec sample.Spec) string {
 func (e *samplerEngine) ProcessBatch(items []int64) (err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.epoch++
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: batch rejected: %v", r)
@@ -133,6 +141,7 @@ func (e *samplerEngine) ProcessBatch(items []int64) (err error) {
 func (e *samplerEngine) SampleKLenShared(k int) ([]sample.Outcome, int, int64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.epoch++
 	outs, n := e.s.SampleK(k)
 	return outs, n, e.s.StreamLen(), false
 }
@@ -141,6 +150,12 @@ func (e *samplerEngine) Snapshot() ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return snap.Snapshot(e.s)
+}
+
+func (e *samplerEngine) Epoch() uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.epoch
 }
 
 func (e *samplerEngine) StreamLen() int64 {

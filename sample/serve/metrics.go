@@ -51,6 +51,11 @@ type nodeMetrics struct {
 	snapNotMod *obs.Counter
 	snapBytes  *obs.Counter
 
+	// Cut cache: snapshot cuts (GET /snapshot, checkpoints) answered
+	// from the epoch-keyed last cut versus re-encoded.
+	cutHits   *obs.Counter
+	cutMisses *obs.Counter
+
 	// Restore: one-shot facts about how this incarnation booted.
 	restoreSeconds *obs.Gauge
 	restoreSkipped *obs.Counter
@@ -91,6 +96,10 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		snapDelta:  reg.Counter("tp_snapshot_serves_total", "GET /snapshot responses, by result.", obs.Label{Key: "result", Value: "delta"}),
 		snapNotMod: reg.Counter("tp_snapshot_serves_total", "GET /snapshot responses, by result.", obs.Label{Key: "result", Value: "not_modified"}),
 		snapBytes:  reg.Counter("tp_snapshot_bytes_total", "Body bytes served on GET /snapshot."),
+		cutHits: reg.Counter("tp_snapshot_cut_cache_total", "Snapshot cuts, by whether the epoch-keyed last cut answered.",
+			obs.Label{Key: "result", Value: "hit"}),
+		cutMisses: reg.Counter("tp_snapshot_cut_cache_total", "Snapshot cuts, by whether the epoch-keyed last cut answered.",
+			obs.Label{Key: "result", Value: "miss"}),
 		restoreSeconds: reg.Gauge("tp_restore_seconds",
 			"Wall-clock duration of the boot-time Restore that built this node (0 for a fresh start)."),
 		restoreSkipped: reg.Counter("tp_restore_skipped_checkpoints_total",
@@ -200,6 +209,19 @@ func (m *nodeMetrics) snapshotServed(result string, bytes int) {
 		m.snapFull.Inc()
 	}
 	m.snapBytes.Add(int64(bytes))
+}
+
+// snapshotCut records one snapshot cut: answered from the cut cache
+// (hit) or drained, encoded and named afresh (miss).
+func (m *nodeMetrics) snapshotCut(hit bool) {
+	if m == nil {
+		return
+	}
+	if hit {
+		m.cutHits.Inc()
+	} else {
+		m.cutMisses.Inc()
+	}
 }
 
 // restored records the boot-time restore facts.

@@ -211,6 +211,14 @@ type Node struct {
 	lastBytes   []byte // full v1 bytes of that state — the next delta's base
 	chain       int    // deltas written since the last full checkpoint
 
+	// cutMu serializes snapshot cuts and guards the cut cache: the last
+	// cut's bytes and content-addressed name, keyed by the engine state
+	// epoch read before it was taken (see cut).
+	cutMu    sync.Mutex
+	cutEpoch uint64
+	cutData  []byte
+	cutName  string
+
 	// statsMu guards the monitoring copies read by /stats; writers hold
 	// ckptMu first (lock order ckptMu → statsMu, and statsMu is never
 	// held across I/O), so a hung store write cannot dark monitoring.
@@ -595,23 +603,51 @@ func (n *Node) StreamLen() int64 { return n.eng.StreamLen() }
 // chain back), so a slowly-churning node also pays only O(change)
 // bytes per interval.
 func (n *Node) Checkpoint() (string, error) {
-	return n.checkpoint(func() (data []byte, err error) {
+	return n.checkpoint(func() (data []byte, name string, err error) {
 		err = n.locked(func() error {
-			data, err = n.eng.Snapshot()
+			data, name, err = n.cut()
 			return err
 		})
-		return data, err
+		return data, name, err
 	}, false)
 }
 
+// cut returns the engine's current snapshot bytes and their
+// content-addressed state name. It is the one cut path: GET /snapshot,
+// Checkpoint and Close's final checkpoint all call it. The last cut is
+// cached under the engine's state epoch, which every ingest and every
+// query bumps, so while the engine is untouched a cut costs an integer
+// compare instead of a drain, a full encode and a SHA-256. The epoch is
+// read before cutting, in the same cutMu hold: a mutation racing the
+// cut leaves the cached epoch behind the engine's, which costs the next
+// caller one miss, never a stale hit. The cached bytes are shared and
+// must not be modified. Callers hold the node read lock (locked),
+// except Close's final cut, which runs after handlers are refused.
+func (n *Node) cut() ([]byte, string, error) {
+	n.cutMu.Lock()
+	defer n.cutMu.Unlock()
+	epoch := n.eng.Epoch()
+	if n.cutData != nil && n.cutEpoch == epoch {
+		n.met.snapshotCut(true)
+		return n.cutData, n.cutName, nil
+	}
+	n.met.snapshotCut(false)
+	data, err := n.eng.Snapshot()
+	if err != nil {
+		return nil, "", err
+	}
+	n.cutEpoch, n.cutData, n.cutName = epoch, data, snap.Name(data)
+	return data, n.cutName, nil
+}
+
 // checkpoint cuts via cut and writes the result to the store. Only the
-// cut itself may touch the coordinator (Checkpoint wraps it in locked;
+// cut itself may touch the engine (Checkpoint wraps it in locked;
 // Close passes a direct cut after the node stops accepting requests).
 // The store write runs under ckptMu alone — a slow or hung store must
 // not hold the node lock and thereby block Close. final forces a full
 // snapshot regardless of cadence: the shutdown checkpoint must restore
 // without older files.
-func (n *Node) checkpoint(cut func() ([]byte, error), final bool) (string, error) {
+func (n *Node) checkpoint(cut func() ([]byte, string, error), final bool) (string, error) {
 	if n.cfg.Store == nil {
 		return "", errors.New("serve: node has no snapshot store")
 	}
@@ -621,11 +657,9 @@ func (n *Node) checkpoint(cut func() ([]byte, error), final bool) (string, error
 	// holds ckptMu — but writes also take statsMu so /stats (which holds
 	// only statsMu) never waits behind a store write.
 	tCut := time.Now()
-	data, err := cut()
+	data, content, err := cut()
 	n.met.checkpointCut(time.Since(tCut))
-	var content string
 	if err == nil {
-		content = snap.Name(data)
 		if content == n.lastContent && n.lastName != "" {
 			// Unchanged state, already durably stored: that is a
 			// checkpoint success, so a stale earlier failure must not
@@ -818,13 +852,13 @@ func (n *Node) doClose() error {
 		// crash-simulation pattern), its use-after-Close panic must
 		// degrade to a Close error — a graceful teardown path should
 		// report "no final checkpoint", not crash the process.
-		_, err = n.checkpoint(func() (data []byte, cutErr error) {
+		_, err = n.checkpoint(func() (data []byte, name string, cutErr error) {
 			defer func() {
 				if r := recover(); r != nil {
 					cutErr = fmt.Errorf("serve: final checkpoint: %v", r)
 				}
 			}()
-			return n.eng.Snapshot()
+			return n.cut()
 		}, true)
 	}
 	n.eng.Close() // idempotent
@@ -1245,9 +1279,9 @@ func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 // aggregator revalidates with.
 func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var data []byte
-	err := n.locked(func() error {
-		var err error
-		data, err = n.eng.Snapshot()
+	var name string
+	err := n.locked(func() (err error) {
+		data, name, err = n.cut()
 		return err
 	})
 	if errors.Is(err, errClosed) {
@@ -1260,7 +1294,6 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	// Everything below happens off-lock: a slow downloader must not
 	// block Close (see locked).
-	name := snap.Name(data)
 	n.rememberBase(name, data)
 	w.Header().Set("ETag", `"`+name+`"`)
 	w.Header().Set("X-Snapshot-Name", name)

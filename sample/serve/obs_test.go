@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -74,6 +75,8 @@ func TestNodeMetricsExposition(t *testing.T) {
 		"tp_ingest_read_seconds_count":                    "1",
 		"tp_ingest_process_seconds_count":                 "1",
 		"tp_checkpoint_encode_seconds_count":              "1",
+		`tp_snapshot_cut_cache_total{result="miss"}`:      "1",
+		`tp_snapshot_cut_cache_total{result="hit"}`:       "2",
 		`tp_store_op_seconds_count{op="put"}`:             "1",
 	} {
 		got, ok := expositionValue(t, text, series)
@@ -87,6 +90,50 @@ func TestNodeMetricsExposition(t *testing.T) {
 	// requires.
 	if !strings.Contains(text, `tp_ingest_read_seconds_bucket{le="+Inf"} 1`) {
 		t.Error("tp_ingest_read_seconds has no +Inf bucket")
+	}
+}
+
+// TestIdleTickerHitsCutCache: an idle node's checkpoint ticker cuts
+// nothing afresh. After the first cut following the last mutation,
+// every tick answers from the cut cache, so an idle fleet pays an
+// integer compare per tick instead of a drain, a full encode and a
+// SHA-256.
+func TestIdleTickerHitsCutCache(t *testing.T) {
+	st, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _, cl := newTestNode(t, NodeConfig{Store: st, CheckpointEvery: time.Millisecond})
+	if _, err := cl.Ingest([]int64{1, 2, 3, 2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	counter := func(result string) int {
+		t.Helper()
+		text, err := cl.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := expositionValue(t, text, `tp_snapshot_cut_cache_total{result="`+result+`"}`)
+		if !ok {
+			t.Fatalf("exposition is missing tp_snapshot_cut_cache_total{result=%q}", result)
+		}
+		c, err := strconv.Atoi(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	misses, hits := counter("miss"), counter("hit")
+	for deadline := time.Now().Add(10 * time.Second); counter("hit") < hits+5; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("ticker recorded %d cut-cache hits in 10s, want ≥ 5", counter("hit")-hits)
+		}
+	}
+	if got := counter("miss"); got != misses {
+		t.Fatalf("idle ticker re-cut the state: %d cut-cache misses after the first cut, want 0", got-misses)
 	}
 }
 

@@ -11,9 +11,10 @@
 //
 // A Node wraps one shard.Coordinator: POST /ingest feeds it (JSON or
 // NDJSON batches), GET /sample answers node-local merged queries, GET
-// /snapshot cuts a fleet checkpoint (Coordinator.Snapshot) — served
-// conditionally: the content-addressed state name is the ETag, a
-// matching If-None-Match or ?since= answers 304, and a ?since= naming
+// /snapshot cuts a fleet checkpoint (Coordinator.Snapshot, reused
+// while the coordinator's state epoch is unchanged, DESIGN.md §5) —
+// served conditionally: the content-addressed state name is the ETag,
+// a matching If-None-Match or ?since= answers 304, and a ?since= naming
 // a recent state the node still holds gets a wire-v2 delta instead of
 // the full bytes. A ticker checkpoints into a pluggable SnapshotStore
 // on the same economy (full snapshots on the FullEvery cadence, deltas

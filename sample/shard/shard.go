@@ -236,6 +236,12 @@ type Coordinator struct {
 	qsnap       *querySnapshot
 	qsnapBuilds int64
 	qsnapShared int64
+
+	// epoch counts every call that can change the bytes Snapshot
+	// encodes: routed ingest, every query (each advances src and may
+	// draw pool coins) and Close. Queries must not touch version — that
+	// would defeat query-snapshot sharing — hence the second counter.
+	epoch uint64
 }
 
 // coordSpec records the constructor call that built the coordinator,
@@ -434,6 +440,7 @@ func (c *Coordinator) Process(item int64) {
 	defer c.mu.Unlock()
 	c.ensureOpen()
 	c.version++
+	c.epoch++
 	c.processLocked(item)
 }
 
@@ -458,6 +465,7 @@ func (c *Coordinator) ProcessBatch(items []int64) {
 		return
 	}
 	c.version++
+	c.epoch++
 	if c.cfg.Route == RouteRoundRobin {
 		for _, it := range items {
 			c.processLocked(it)
@@ -675,6 +683,7 @@ func (c *Coordinator) shareSnapshot(k int) (view querySnapshot, src rng.PCG, sha
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ensureOpen()
+	c.epoch++
 	if s := c.qsnap; s != nil && s.version == c.version {
 		// Version unchanged ⇒ no updates were routed since the snapshot's
 		// own drain ⇒ the buffers are empty and every worker is idle, so
@@ -708,6 +717,24 @@ func (c *Coordinator) QuerySnapshotCounters() (builds, shared int64) {
 	return c.qsnapBuilds, c.qsnapShared
 }
 
+// Epoch reports the coordinator's state epoch, a counter bumped under
+// the coordinator mutex by every call that can change the bytes
+// Snapshot encodes: routed ingest (Process, and ProcessBatch with a
+// non-empty batch), every query (Sample, SampleK and their variants —
+// each advances the mixture RNG, and a snapshot build or extension
+// draws pool coins) and Close. Snapshot, SnapshotDelta, Drain and the
+// read-only accessors leave it alone. Equal readings therefore bracket
+// an interval in which Snapshot's output could not change, which makes
+// the epoch a cache key for cut bytes — provided it is read before the
+// cut: a reading taken after could tag older bytes with a newer epoch.
+// Unlike the query-snapshot version, queries bump it. Safe from any
+// goroutine, including after Close.
+func (c *Coordinator) Epoch() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.epoch
+}
+
 // drawShard picks shard j with probability lens[j]/total by drawing a
 // uniform global stream position. The draw is 64-bit (rng.Int63n):
 // stream masses beyond 2³¹ must not truncate on 32-bit platforms,
@@ -733,6 +760,7 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
+	c.epoch++ // no cut cached against the open coordinator outlives it
 	for _, w := range c.workers {
 		close(w.in)
 	}

@@ -11,6 +11,8 @@ package repro
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
@@ -442,5 +444,111 @@ func checkCutCache(t *testing.T, mkNode func(serve.NodeConfig) *serve.Node, twin
 				t.Fatalf("round %d: node %s diverges from the twin", round, c.Base)
 			}
 		}
+	}
+}
+
+// Claim (answer-stream golden): the query path's coin consumption is
+// pinned bit-for-bit. A fixed script — an empty-stream query, ingest
+// rounds, SampleK(1..4) against both a rebuilt and a shared query
+// snapshot, Snapshot cuts, a restored twin, and the cross-process
+// merge (a cached MergePlan and a seeded Merged over the coordinator's
+// per-shard states) — runs on L1 (round-robin routing), Lp p=2 (hash
+// routing, Misra–Gries ζ) and Lp p=0.5 coordinators, and every answer,
+// shared flag, stream mass and snapshot byte is hashed. The golden
+// digest was recorded before the coordinator's query path moved onto
+// snap.MergePlan; any change to which coins a query flips, or in which
+// order, moves it. The snapshot goldens pin state bytes only — this
+// pins the answers too.
+func TestClaimQueryAnswerGolden(t *testing.T) {
+	const golden = "db7254102a1ff388051e1df4497527b507607290e65aba14f8aeaccb2afeb8f4"
+	gen := stream.NewGenerator(rng.New(97))
+	rounds := [][]int64{gen.Zipf(64, 900, 1.2), gen.Zipf(64, 300, 1.2), gen.Zipf(64, 40, 1.2)}
+	cfg := shard.Config{Shards: 3, BatchSize: 64, Queries: 4}
+	rr := cfg
+	rr.Route = shard.RouteRoundRobin
+	ctors := []struct {
+		name string
+		mk   func() *shard.Coordinator
+	}{
+		{"l1-roundrobin", func() *shard.Coordinator { return shard.NewL1(0.2, 11, rr) }},
+		{"lp2-hash", func() *shard.Coordinator { return shard.NewLp(2, 64, 2000, 0.2, 12, cfg) }},
+		{"lp0.5-hash", func() *shard.Coordinator { return shard.NewLp(0.5, 64, 2000, 0.2, 13, cfg) }},
+	}
+	h := sha256.New()
+	for _, ct := range ctors {
+		fmt.Fprintf(h, "== %s\n", ct.name)
+		c := ct.mk()
+		query := func(c *shard.Coordinator, k int) {
+			outs, n, total, shared := c.SampleKLenShared(k)
+			fmt.Fprintf(h, "k=%d n=%d total=%d shared=%v %+v\n", k, n, total, shared, outs)
+		}
+		cut := func(c *shard.Coordinator) []byte {
+			data, err := c.Snapshot()
+			if err != nil {
+				t.Fatalf("%s: %v", ct.name, err)
+			}
+			fmt.Fprintf(h, "snapshot %x\n", sha256.Sum256(data))
+			return data
+		}
+		// An empty stream answers ⊥ without splitting the mixture RNG.
+		query(c, 2)
+		query(c, 2)
+		for r, items := range rounds {
+			if r == 1 {
+				for _, it := range items[:5] {
+					c.Process(it)
+				}
+				items = items[5:]
+			}
+			c.ProcessBatch(items)
+			// Rebuilt, then shared with extension; the cut drops the
+			// shared query snapshot, so k=4 rebuilds at full width and
+			// the narrower queries share its prefixes.
+			for k := 1; k <= 4; k++ {
+				query(c, k)
+			}
+			cut(c)
+			for k := 4; k >= 1; k-- {
+				query(c, k)
+			}
+		}
+		data := cut(c)
+		twin, err := shard.RestoreCoordinator(data)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", ct.name, err)
+		}
+		for _, k := range []int{3, 1, 4} {
+			query(twin, k)
+			query(c, k)
+		}
+		twin.Close()
+		c.Close()
+
+		states, err := shard.SamplerStates(data)
+		if err != nil {
+			t.Fatalf("%s: %v", ct.name, err)
+		}
+		plan, err := snap.BuildMergePlan(states...)
+		if err != nil {
+			t.Fatalf("%s: %v", ct.name, err)
+		}
+		for _, qs := range []struct {
+			seed uint64
+			k    int
+		}{{1, 1}, {2, 4}, {1, 2}, {99, 3}} {
+			outs, n := plan.SampleK(qs.seed, qs.k)
+			fmt.Fprintf(h, "plan qseed=%d k=%d n=%d %+v\n", qs.seed, qs.k, n, outs)
+		}
+		merged, err := snap.MergeStates(7, states...)
+		if err != nil {
+			t.Fatalf("%s: %v", ct.name, err)
+		}
+		for _, k := range []int{2, 4, 1} {
+			outs, n := merged.SampleK(k)
+			fmt.Fprintf(h, "merged k=%d n=%d %+v\n", k, n, outs)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Fatalf("answer-stream digest %s, want %s", got, golden)
 	}
 }

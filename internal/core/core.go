@@ -69,7 +69,7 @@ type Outcome struct {
 // The pool is partitioned into `queries` disjoint *query groups* of
 // groupSize instances each (§3.1's "s samples with O(1) update time"
 // corollary: memory scales with the pool, update time does not).
-// Sample, SampleFrom and Trials consume group 0; SampleK draws one
+// Sample and SampleFrom consume group 0; SampleK draws one
 // sample per group, and because the groups share no instances the k
 // draws are mutually independent.
 type GSampler struct {
@@ -346,37 +346,28 @@ type Trial struct {
 	OK  bool
 }
 
-// Trials runs the rejection step of Algorithm 2 on every instance of
-// query group 0, in pool order, and reports each instance's individual
-// result. Distinct instances' trials are independent, and each accepted
+// TrialsGroupAppend runs the rejection step of Algorithm 2 on every
+// instance of query group q, in pool order, normalized by the explicit
+// increment bound zeta, and appends each instance's individual result
+// to dst. Distinct instances' trials are independent, and each accepted
 // outcome carries the exact per-instance law
-// P[accept ∧ item = i] = G(f_i)/(ζm) — the property the sharded
-// coordinator (package sample/shard) consumes when it interleaves
-// trials from several pools into one merged query. Like Sample, each
-// call draws fresh rejection coins.
-func (s *GSampler) Trials() []Trial {
-	return s.TrialsGroup(0)
-}
-
-// TrialsGroup is Trials over query group q's instances. Trials from
-// distinct groups involve disjoint instances, so merged queries built
-// from different groups (shard.Coordinator.SampleK) are mutually
-// independent.
-func (s *GSampler) TrialsGroup(q int) []Trial {
-	return s.TrialsGroupAppend(make([]Trial, 0, s.groupSize), q)
-}
-
-// TrialsGroupAppend is TrialsGroup appending into dst — allocation-free
-// when dst has capacity, which is what lets the sharded coordinator
-// assemble a query's full trial table (k groups × P shards × T trials)
-// in one buffer per group instead of one per pool. The randomness
-// consumption is identical to TrialsGroup's: in particular an empty
-// stream appends groupSize zero trials without flipping a single coin,
-// so the pool's PCG stream — which snapshots capture bit-for-bit —
-// advances exactly as it always has.
-func (s *GSampler) TrialsGroupAppend(dst []Trial, q int) []Trial {
+// P[accept ∧ item = i] = G(f_i)/(ζm) — the property the m_j/m mixture
+// (sample/snap's MergePlan, which also serves shard.Coordinator)
+// consumes when it interleaves trials from several pools into one
+// merged query. Trials from distinct groups involve disjoint
+// instances, so merged queries built from different groups are
+// mutually independent.
+//
+// zeta overrides the pool's own normalizer: every pool in a merge must
+// be normalized by one shared global ζ, which must be a valid increment
+// bound for this pool's realized stream. Appending lets a merge fill
+// one [shard·T] buffer per group. Each call draws fresh rejection
+// coins; an empty stream appends groupSize zero trials without
+// flipping a single coin, so the pool's PCG stream — which snapshots
+// capture bit-for-bit — does not advance.
+func (s *GSampler) TrialsGroupAppend(dst []Trial, q int, zeta float64) []Trial {
 	if q < 0 || q >= s.Queries() {
-		panic("core: TrialsGroup index out of range")
+		panic("core: TrialsGroupAppend group index out of range")
 	}
 	if s.t == 0 {
 		for i := 0; i < s.groupSize; i++ {
@@ -384,35 +375,12 @@ func (s *GSampler) TrialsGroupAppend(dst []Trial, q int) []Trial {
 		}
 		return dst
 	}
-	zeta := s.zeta()
 	base := q * s.groupSize
 	for i := 0; i < s.groupSize; i++ {
 		o, ok := s.sampleInstance(base+i, zeta)
 		dst = append(dst, Trial{Out: o, OK: ok})
 	}
 	return dst
-}
-
-// TrialsGroupZeta is TrialsGroup with an explicit increment bound,
-// overriding the pool's own ζ. Cross-pool merges over decoded
-// snapshots (sample/snap) need it: every pool's trials must be
-// normalized by one shared global ζ, and the decoded pools' own
-// normalizers only know their local streams. zeta must be a valid
-// increment bound for this pool's realized stream.
-func (s *GSampler) TrialsGroupZeta(q int, zeta float64) []Trial {
-	if q < 0 || q >= s.Queries() {
-		panic("core: TrialsGroup index out of range")
-	}
-	out := make([]Trial, s.groupSize)
-	if s.t == 0 {
-		return out
-	}
-	base := q * s.groupSize
-	for i := range out {
-		o, ok := s.sampleInstance(base+i, zeta)
-		out[i] = Trial{Out: o, OK: ok}
-	}
-	return out
 }
 
 func (s *GSampler) zeta() float64 {

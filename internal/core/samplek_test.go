@@ -102,17 +102,17 @@ func TestSampleKGroupAccounting(t *testing.T) {
 	if _, present := freq[out.Item]; !present {
 		t.Fatalf("sampled item %d not in stream", out.Item)
 	}
-	// TrialsGroup returns exactly one group's worth of trials, and an
-	// out-of-range group panics.
-	if got := len(s.TrialsGroup(3)); got != 6 {
-		t.Fatalf("TrialsGroup len = %d, want 6", got)
+	// TrialsGroupAppend appends exactly one group's worth of trials,
+	// and an out-of-range group panics.
+	if got := len(s.TrialsGroupAppend(nil, 3, 1)); got != 6 {
+		t.Fatalf("TrialsGroupAppend len = %d, want 6", got)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("TrialsGroup(4) did not panic")
+			t.Fatal("TrialsGroupAppend group 4 did not panic")
 		}
 	}()
-	s.TrialsGroup(4)
+	s.TrialsGroupAppend(nil, 4, 1)
 }
 
 // The LpSampler multi-query constructor must wire groups through to the

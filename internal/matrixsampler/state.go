@@ -163,7 +163,8 @@ func (s *Sampler) InstanceCount() int { return len(s.insts) }
 // sampled a position yet rejects deterministically. Trial never
 // touches the sampler's own PCG — the cross-snapshot merge
 // (sample/snap) drives instances of several decoded samplers from one
-// shared coin stream, mirroring core.TrialsGroupZeta.
+// shared coin stream. It is the matrix counterpart of
+// core.GSampler.TrialsGroupAppend, which flips each pool's own coins.
 func (s *Sampler) Trial(i int, flip func(p float64) bool) (int64, bool) {
 	inst := &s.insts[i]
 	if inst.pos == 0 {

@@ -74,29 +74,35 @@
 // from one goroutine (the parallelism lives inside). Queries are not so
 // restricted: Sample, SampleK, Drain and BitsUsed may be called from
 // any goroutine, concurrently with the producer and with each other.
-// A query takes the coordinator mutex, drains in-flight batches, and
-// snapshots everything it needs (per-shard stream masses, one rejection
-// trial per pool instance it may consume) — then releases the mutex,
-// draws a per-request split of the coordinator's mixture RNG, and runs
-// the merge on the snapshot. Query traffic therefore no longer
-// serializes behind ingestion: the producer contends only for the
-// bounded drain-and-snapshot window, not for the merge itself, and the
-// worker goroutines keep applying batches throughout. Every query still
-// answers with respect to every update processed before it drained.
+// A query takes the coordinator mutex, drains in-flight batches, wires
+// the m_j/m mixture over the drained worker pools as a snap.MergePlan
+// (snap.PoolPlan: per-shard stream masses plus one global ζ) and
+// materializes the plan's trial tables — one rejection trial per pool
+// instance the query may consume, coins flipped while the workers are
+// provably idle. Then it releases the mutex, takes a per-request split
+// of the coordinator's mixture RNG, and runs the draw
+// (MergePlan.DrawK) on the frozen tables — the same code the
+// cross-machine merge (sample/snap, sample/serve's aggregator) runs.
+// Query traffic therefore does not serialize behind ingestion: the
+// producer contends only for the bounded drain-and-materialize window,
+// not for the draw itself, and the worker goroutines keep applying
+// batches throughout. Every query still answers with respect to every
+// update processed before it drained.
 //
-// The drained snapshot is additionally *shared* across queries: the
-// coordinator versions its routed stream (every Process/ProcessBatch
-// bumps the version) and caches the last snapshot it built, so queries
-// arriving while the version is unchanged skip both the drain barrier
-// and the O(k·P·T) trial materialization and pay only their own mixture
-// draws. Each request still gets an independent split of the mixture
-// RNG, so every answer carries the exact merged marginal law; queries
-// against an unchanged coordinator reuse the same frozen trial coins
-// and are therefore correlated with each other — the same contract the
-// cross-machine merge layer (sample/snap, sample/serve) has always
-// documented for repeated queries against unchanged nodes. Any ingest
-// invalidates the cache, and k mutually independent samples within one
-// request come from SampleK's disjoint groups, exactly as before.
+// The plan is additionally *shared* across queries: the coordinator
+// versions its routed stream (every Process/ProcessBatch bumps the
+// version) and caches the last plan it built, so queries arriving
+// while the version is unchanged skip both the drain barrier and the
+// O(k·P·T) trial materialization — a wider query than any before it
+// only materializes the missing groups, still under the mutex — and
+// pay only their own mixture draws. Each request still gets an
+// independent split of the mixture RNG, so every answer carries the
+// exact merged marginal law; queries against an unchanged coordinator
+// reuse the same frozen trial coins and are therefore correlated with
+// each other — the same contract the cross-machine merge layer has
+// always documented for repeated queries against unchanged nodes. Any
+// ingest invalidates the cache, and k mutually independent samples
+// within one request come from SampleK's disjoint groups.
 //
 // Ingesting into or querying a coordinator after Close (Process,
 // ProcessBatch, Sample, SampleK, Drain, BitsUsed) panics with a clear
@@ -114,6 +120,7 @@ import (
 	"repro/internal/misragries"
 	"repro/internal/rng"
 	"repro/sample"
+	"repro/sample/snap"
 )
 
 // Route selects how the coordinator partitions the stream.
@@ -226,21 +233,23 @@ type Coordinator struct {
 	spec    coordSpec
 	closed  bool
 
-	// Query snapshot sharing: version counts routed-ingest calls, qsnap
-	// caches the last drained snapshot stamped with the version it was
-	// built at, and the counters feed QuerySnapshotCounters. A checkpoint
-	// (exportState) drops the cache so a restored coordinator — which
-	// starts without it — continues queries bit-for-bit with the
-	// original.
+	// Query plan sharing: version counts routed-ingest calls, plan is
+	// the m_j/m mixture over the drained pools (snap.PoolPlan) built at
+	// planVersion, and the counters feed QuerySnapshotCounters. A
+	// checkpoint (exportState) drops the plan so a restored coordinator
+	// — which starts without one — continues queries bit-for-bit with
+	// the original.
 	version     uint64
-	qsnap       *querySnapshot
-	qsnapBuilds int64
-	qsnapShared int64
+	pools       []*core.GSampler // workers[j].pool, for snap.PoolPlan
+	plan        *snap.MergePlan
+	planVersion uint64
+	planBuilds  int64
+	planShared  int64
 
 	// epoch counts every call that can change the bytes Snapshot
 	// encodes: routed ingest, every query (each advances src and may
 	// draw pool coins) and Close. Queries must not touch version — that
-	// would defeat query-snapshot sharing — hence the second counter.
+	// would defeat query-plan sharing — hence the second counter.
 	epoch uint64
 }
 
@@ -307,10 +316,7 @@ func (w *worker) loop() {
 func New(g sample.Measure, m int64, delta float64, seed uint64, cfg Config) *Coordinator {
 	trials := core.InstancesForMeasure(g, m, delta)
 	name, tau, specErr := sample.MeasureSpec(g)
-	c := build(cfg, seed, trials, func(c *Coordinator, j int, poolSeed uint64) (*core.GSampler, *misragries.Sketch) {
-		return core.NewGSamplerK(g, trials, c.queries, poolSeed,
-			func() float64 { return c.zeta(c) }), nil
-	}, func(c *Coordinator) float64 {
+	c := build(cfg, seed, g, trials, 0, func(c *Coordinator) float64 {
 		return g.Zeta(c.total)
 	})
 	c.spec = coordSpec{kind: coordMeasure, measure: name, tau: tau, m: m,
@@ -343,14 +349,10 @@ func NewLp(p float64, n, m int64, delta float64, seed uint64, cfg Config) *Coord
 	spec := coordSpec{kind: coordLp, p: p, n: n, m: m, delta: delta,
 		seed: seed, known: true}
 	if p <= 1 {
-		c := build(cfg, seed, trials, func(c *Coordinator, j int, poolSeed uint64) (*core.GSampler, *misragries.Sketch) {
-			return core.NewGSamplerK(measure.Lp{P: p}, trials, c.queries, poolSeed,
-				func() float64 { return 1 }), nil
-		}, func(*Coordinator) float64 { return 1 })
+		c := build(cfg, seed, measure.Lp{P: p}, trials, 0, func(*Coordinator) float64 { return 1 })
 		c.spec = spec
 		return c
 	}
-	k := core.LpMGWidth(p, n)
 	zeta := func(c *Coordinator) float64 {
 		var z float64
 		for _, w := range c.workers {
@@ -366,16 +368,17 @@ func NewLp(p float64, n, m int64, delta float64, seed uint64, cfg Config) *Coord
 		}
 		return p * math.Pow(z, p-1)
 	}
-	c := build(cfg, seed, trials, func(c *Coordinator, j int, poolSeed uint64) (*core.GSampler, *misragries.Sketch) {
-		return core.NewGSamplerK(measure.Lp{P: p}, trials, c.queries, poolSeed,
-			func() float64 { return c.zeta(c) }), misragries.New(k)
-	}, zeta)
+	c := build(cfg, seed, measure.Lp{P: p}, trials, core.LpMGWidth(p, n), zeta)
 	c.spec = spec
 	return c
 }
 
-func build(cfg Config, seed uint64, trials int,
-	mk func(c *Coordinator, j int, poolSeed uint64) (*core.GSampler, *misragries.Sketch),
+// build starts one worker per shard, each owning a pool of trials·Queries
+// instances for g and, when mgWidth > 0, a Misra–Gries sketch of that
+// width for the Lp (p > 1) normalizer. The pools carry no normalizer of
+// their own: zeta is the one global ζ, evaluated when a query builds its
+// plan and passed to every pool's trials.
+func build(cfg Config, seed uint64, g measure.Func, trials, mgWidth int,
 	zeta func(*Coordinator) float64) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
@@ -387,12 +390,17 @@ func build(cfg Config, seed uint64, trials int,
 		zeta:    zeta,
 	}
 	c.workers = make([]*worker, cfg.Shards)
+	c.pools = make([]*core.GSampler, cfg.Shards)
 	c.bufs = make([][]int64, cfg.Shards)
 	// Two spare buffers per shard keep the flush path allocation-free
 	// even when every worker has one batch in flight and one queued.
 	c.free = make(chan []int64, 2*cfg.Shards)
 	for j := range c.workers {
-		pool, mg := mk(c, j, mix64(seed+uint64(j)*0x9e3779b97f4a7c15))
+		pool := core.NewGSamplerK(g, trials, cfg.Queries, mix64(seed+uint64(j)*0x9e3779b97f4a7c15), nil)
+		var mg *misragries.Sketch
+		if mgWidth > 0 {
+			mg = misragries.New(mgWidth)
+		}
 		w := &worker{
 			pool: pool,
 			mg:   mg,
@@ -401,6 +409,7 @@ func build(cfg Config, seed uint64, trials int,
 			free: c.free,
 		}
 		c.workers[j] = w
+		c.pools[j] = pool
 		c.bufs[j] = make([]int64, 0, cfg.BatchSize)
 		go w.loop()
 	}
@@ -523,84 +532,6 @@ func (c *Coordinator) drainLocked() {
 	}
 }
 
-// querySnapshot is everything a merged query consumes after the
-// coordinator mutex is released: the mixture weights and one trial per
-// pool instance the query may touch (coins already flipped). The
-// coordinator caches the last snapshot it built and shares it across
-// queries until ingestion bumps the version; lens and the trial-table
-// prefix a request captured under the mutex are immutable afterwards,
-// so concurrent merges read them lock-free while later requests may
-// still be appending further groups.
-type querySnapshot struct {
-	version uint64         // c.version the snapshot was built at
-	lens    []int64        // per-shard local stream masses m_j
-	total   int64          // Σ m_j
-	trials  [][]core.Trial // [group][shard·T] interleaved below
-	shards  int
-	budget  int // T, the per-group trial budget
-}
-
-// snapshot drains and captures the query state for k groups. Callers
-// hold mu. Trial tables are materialized eagerly — the pools' PCG
-// streams and the shared zeta are coordinator state and must not be
-// touched once ingestion resumes — so a query costs O(k·P·T) coin flips
-// inside the lock and runs its mixture outside it.
-func (c *Coordinator) snapshot(k int) querySnapshot {
-	snap := querySnapshot{
-		version: c.version,
-		lens:    make([]int64, len(c.workers)),
-		total:   c.total,
-		trials:  make([][]core.Trial, 0, k),
-		shards:  len(c.workers),
-		budget:  c.trials,
-	}
-	for j, w := range c.workers {
-		snap.lens[j] = w.pool.StreamLen()
-	}
-	c.extendTrials(&snap, k)
-	return snap
-}
-
-// extendTrials materializes groups [len(trials), k) of snap's trial
-// table from the live pools. Callers hold mu and guarantee the workers
-// are idle (post-drain, or version-unchanged since the snapshot's own
-// drain). Groups are append-only: entries below the prefix a request
-// captured are never touched again, which is what lets concurrent
-// merges read them lock-free.
-func (c *Coordinator) extendTrials(snap *querySnapshot, k int) {
-	for q := len(snap.trials); q < k; q++ {
-		// One buffer per group, filled in place: TrialsGroupAppend keeps
-		// each pool's coin consumption identical to TrialsGroup's while
-		// skipping the per-pool intermediate slice.
-		buf := make([]core.Trial, 0, len(c.workers)*c.trials)
-		for _, w := range c.workers {
-			buf = w.pool.TrialsGroupAppend(buf, q)
-		}
-		snap.trials = append(snap.trials, buf)
-	}
-}
-
-// mergeGroup runs the m_j/m mixture over group q's snapshot trials:
-// trial t consumes the next unused instance of a shard drawn with
-// probability m_j/m, and the first acceptance wins — exactly the
-// single-machine pool law (see the package comment). src and used are
-// per-request state, so shared snapshots serve concurrent merges.
-func (snap *querySnapshot) mergeGroup(src *rng.PCG, used []int, q int) (sample.Outcome, bool) {
-	clear(used)
-	for t := 0; t < snap.budget; t++ {
-		j := drawShard(src, snap.lens, snap.total)
-		tr := snap.trials[q][j*snap.budget+used[j]]
-		used[j]++
-		if tr.OK {
-			return sample.Outcome{
-				Item: tr.Out.Item,
-				Freq: tr.Out.AfterCount,
-			}, true
-		}
-	}
-	return sample.Outcome{}, false
-}
-
 // Sample merges the shard pools and returns an item with exactly the
 // single-machine law G(f_i)/F_G over the full routed stream (see the
 // package comment for the argument), ok=false on FAIL. An empty stream
@@ -621,29 +552,22 @@ func (c *Coordinator) Sample() (sample.Outcome, bool) {
 // with k ⊥ outcomes. Safe from any goroutine (see the package
 // comment's concurrency contract).
 func (c *Coordinator) SampleK(k int) ([]sample.Outcome, int) {
-	outs, n, _ := c.SampleKLen(k)
+	outs, n, _, _ := c.SampleKLenShared(k)
 	return outs, n
 }
 
-// SampleKLen is SampleK plus the routed stream mass the answer is
-// exact with respect to — the mass captured by the query's own drain.
-// Callers that report the mass alongside the outcomes (the sample/serve
-// handlers) need it from the same drain: reading StreamLen separately
-// races with a concurrent producer and can pair a sample with a mass
-// it never saw.
-func (c *Coordinator) SampleKLen(k int) ([]sample.Outcome, int, int64) {
-	outs, n, total, _ := c.SampleKLenShared(k)
-	return outs, n, total
-}
-
-// SampleKLenShared is SampleKLen plus a flag reporting whether the
-// answer came from the shared query snapshot (true) or paid its own
-// drain-and-materialize (false) — the signal sample/serve's node
-// exposes as tp_node_query_snapshot_shared_total. Concurrent callers
-// against an unchanged coordinator share one snapshot build; each still
-// draws its own independent split of the mixture RNG, so every answer
-// carries the exact merged law (see the package comment's concurrency
-// contract for the cross-request correlation this implies).
+// SampleKLenShared is SampleK plus the routed stream mass the answer is
+// exact with respect to and a flag reporting whether the answer came
+// from the shared query plan (true) or paid its own drain-and-
+// materialize (false). The mass comes from the query's own drain:
+// reading StreamLen separately races with a concurrent producer and
+// can pair a sample with a mass it never saw. The flag is the signal
+// sample/serve's node exposes as tp_node_query_snapshot_shared_total.
+// Concurrent callers against an unchanged coordinator share one plan
+// build; each still draws its own independent split of the mixture
+// RNG, so every answer carries the exact merged law (see the package
+// comment's concurrency contract for the cross-request correlation
+// this implies).
 func (c *Coordinator) SampleKLenShared(k int) ([]sample.Outcome, int, int64, bool) {
 	if k < 1 {
 		panic("shard: SampleK needs k ≥ 1")
@@ -651,103 +575,78 @@ func (c *Coordinator) SampleKLenShared(k int) ([]sample.Outcome, int, int64, boo
 	if k > c.queries {
 		k = c.queries
 	}
-	view, src, shared, empty := c.shareSnapshot(k)
-	if empty {
+	plan, src, shared := c.sharePlan(k)
+	if plan == nil {
 		outs := make([]sample.Outcome, k)
 		for i := range outs {
 			outs[i] = sample.Outcome{Bottom: true}
 		}
 		return outs, k, 0, shared
 	}
-	// The merge runs on the snapshot view, off-lock: ingestion proceeds
-	// and other queries share the same frozen trials concurrently.
-	used := make([]int, view.shards)
-	outs := make([]sample.Outcome, 0, k)
-	for q := 0; q < k; q++ {
-		if out, ok := view.mergeGroup(&src, used, q); ok {
-			outs = append(outs, out)
-		}
-	}
-	return outs, len(outs), view.total, shared
+	// The draw runs off-lock on trials sharePlan materialized:
+	// ingestion proceeds and other queries share the same frozen
+	// trials concurrently.
+	outs, n := plan.DrawK(&src, k)
+	return outs, n, plan.StreamLen(), shared
 }
 
-// shareSnapshot is the locked half of a query: reuse the cached
-// snapshot when the stream version is unchanged, otherwise drain and
-// build (and cache) a fresh one. The returned view's trial table is
-// capped at k groups captured under the mutex — later extensions
-// append beyond it, so the view is safe to read lock-free. src is the
-// request's own split of the mixture RNG; empty reports a zero-length
-// stream (⊥ answer). The deferred unlock keeps the mutex releasable on
-// the used-after-Close panic path.
-func (c *Coordinator) shareSnapshot(k int) (view querySnapshot, src rng.PCG, shared, empty bool) {
+// sharePlan is the locked half of a query: reuse the cached plan when
+// the stream version is unchanged, otherwise drain and build (and
+// cache) a fresh one; then materialize its first k groups. The workers
+// are idle throughout — post-drain, or no update routed since the
+// plan's own drain — which is what lets the plan flip pool coins here
+// and lets the draw read its trial tables off-lock afterwards. src is
+// the request's own split of the mixture RNG; a nil plan reports a
+// zero-length stream (⊥ answer, mixture RNG untouched). The deferred
+// unlock keeps the mutex releasable on the used-after-Close panic
+// path.
+func (c *Coordinator) sharePlan(k int) (plan *snap.MergePlan, src rng.PCG, shared bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ensureOpen()
 	c.epoch++
-	if s := c.qsnap; s != nil && s.version == c.version {
-		// Version unchanged ⇒ no updates were routed since the snapshot's
-		// own drain ⇒ the buffers are empty and every worker is idle, so
-		// extending the trial table (a larger k than any seen this
-		// version) reads stable pool state without another drain.
-		c.extendTrials(s, k)
-		c.qsnapShared++
-		view = *s
-		view.trials = s.trials[:k:k]
-		return view, c.src.SplitPCG(), true, false
+	shared = c.plan != nil && c.planVersion == c.version
+	if shared {
+		c.planShared++
+	} else {
+		c.drainLocked()
+		if c.total == 0 {
+			return nil, rng.PCG{}, false
+		}
+		c.plan = snap.PoolPlan(c.pools, c.zeta(c), c.queries)
+		c.planVersion = c.version
+		c.planBuilds++
 	}
-	c.drainLocked()
-	if c.total == 0 {
-		return querySnapshot{}, rng.PCG{}, false, true
-	}
-	s := c.snapshot(k)
-	c.qsnap = &s
-	c.qsnapBuilds++
-	view = s
-	view.trials = s.trials[:k:k]
-	return view, c.src.SplitPCG(), false, false
+	c.plan.Materialize(k)
+	return c.plan, c.src.SplitPCG(), shared
 }
 
-// QuerySnapshotCounters reports how many queries built a fresh drained
-// snapshot and how many were answered from the shared one — the node
-// tier's cache-effectiveness signal. Safe from any goroutine, including
-// after Close.
+// QuerySnapshotCounters reports how many queries drained and built a
+// fresh query plan and how many were answered from the shared one —
+// the node tier's cache-effectiveness signal. Safe from any goroutine,
+// including after Close.
 func (c *Coordinator) QuerySnapshotCounters() (builds, shared int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.qsnapBuilds, c.qsnapShared
+	return c.planBuilds, c.planShared
 }
 
 // Epoch reports the coordinator's state epoch, a counter bumped under
 // the coordinator mutex by every call that can change the bytes
 // Snapshot encodes: routed ingest (Process, and ProcessBatch with a
 // non-empty batch), every query (Sample, SampleK and their variants —
-// each advances the mixture RNG, and a snapshot build or extension
+// each advances the mixture RNG, and a plan build or materialization
 // draws pool coins) and Close. Snapshot, SnapshotDelta, Drain and the
 // read-only accessors leave it alone. Equal readings therefore bracket
 // an interval in which Snapshot's output could not change, which makes
 // the epoch a cache key for cut bytes — provided it is read before the
 // cut: a reading taken after could tag older bytes with a newer epoch.
-// Unlike the query-snapshot version, queries bump it. Safe from any
+// Unlike the query-plan version, queries bump it. Safe from any
 // goroutine, including after Close.
 func (c *Coordinator) Epoch() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.epoch
-}
-
-// drawShard picks shard j with probability lens[j]/total by drawing a
-// uniform global stream position. The draw is 64-bit (rng.Int63n):
-// stream masses beyond 2³¹ must not truncate on 32-bit platforms,
-// where an int-width draw would corrupt the mixture weights.
-func drawShard(src *rng.PCG, lens []int64, total int64) int {
-	x := src.Int63n(total)
-	for j, l := range lens {
-		if x < l {
-			return j
-		}
-		x -= l
-	}
-	return len(lens) - 1 // unreachable: Σlens == total after a drain
 }
 
 // Close shuts the workers down. Ingestion and query calls after Close

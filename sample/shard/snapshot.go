@@ -41,11 +41,11 @@ func (c *Coordinator) exportState() (*decodedCoordinator, error) {
 		return nil, fmt.Errorf("shard: custom measures cannot be snapshotted")
 	}
 	c.drainLocked()
-	// Drop the shared query snapshot: a restored coordinator starts
+	// Drop the shared query plan: a restored coordinator starts
 	// without one, so the original must rebuild from the same
 	// checkpointed pool state to keep post-checkpoint queries
 	// bit-for-bit identical on both sides.
-	c.qsnap = nil
+	c.plan = nil
 	d := &decodedCoordinator{spec: c.spec, cfg: c.cfg, total: c.total, rr: c.rr}
 	d.hi, d.lo = c.src.State()
 	d.pools = make([]core.GSamplerState, len(c.workers))

@@ -166,11 +166,10 @@ func compatibleSpecs(states []sample.State) error {
 
 // buildFramework restores each snapshot's sampler and wires the m_j/m
 // mixture over their pools.
-func (p *MergePlan) buildFramework(states []sample.State) (*MergePlan, error) {
+func buildFramework(states []sample.State) (*MergePlan, error) {
 	spec := states[0].Spec
-	p.pools = make([]*core.GSampler, len(states))
-	p.lens = make([]int64, len(states))
-	var maxBound int64
+	pools := make([]*core.GSampler, len(states))
+	var total, maxBound int64
 	var g sample.Measure
 	for j, st := range states {
 		s, err := sample.FromState(st)
@@ -181,37 +180,29 @@ func (p *MergePlan) buildFramework(states []sample.State) (*MergePlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("snapshot %d: %v is not a framework kind", j, spec.Kind)
 		}
-		p.pools[j] = h.Pool
-		p.lens[j] = h.Pool.StreamLen()
-		if p.lens[j] > math.MaxInt64-p.total {
+		pools[j] = h.Pool
+		if h.Pool.StreamLen() > math.MaxInt64-total {
 			return nil, fmt.Errorf("snap: snapshot stream masses overflow int64")
 		}
-		p.total += p.lens[j]
+		total += h.Pool.StreamLen()
 		if h.NormalizerBound > maxBound {
 			maxBound = h.NormalizerBound
 		}
-		if j == 0 {
-			p.budget = h.Pool.GroupSize()
-			g = h.G
-		}
+		g = h.G
 	}
 	// One global ζ for every trial of every pool. For Lp with p > 1 it
 	// comes from the per-snapshot Misra–Gries bounds (max over
 	// item-disjoint shards: ‖f‖∞ = max_j ‖f⁽ʲ⁾‖∞ ≤ max_j Z_j);
 	// everywhere else the measure's own bound at the total stream mass
 	// is valid and data-independent.
+	var zeta float64
 	if spec.Kind == sample.KindLp && spec.P > 1 {
-		if maxBound < 1 {
-			maxBound = 1
-		}
-		p.zeta = spec.P * math.Pow(float64(maxBound), spec.P-1)
+		zeta = spec.P * math.Pow(float64(max(maxBound, 1)), spec.P-1)
 	} else {
-		total := p.total
-		if total < 1 {
-			total = 1
-		}
-		p.zeta = g.Zeta(total)
+		zeta = g.Zeta(max(total, 1))
 	}
+	p := PoolPlan(pools, zeta, spec.Queries)
+	p.kind = spec.Kind
 	return p, nil
 }
 
@@ -433,14 +424,14 @@ func (m *Merged) SampleK(k int) ([]sample.Outcome, int) {
 	if m.single != nil {
 		return m.single.SampleK(k)
 	}
-	if m.plan.matrix != nil {
-		return m.plan.sampleMatrix(m.src)
-	}
-	return m.plan.sampleFramework(m.src, k)
+	return m.plan.DrawK(m.src, k)
 }
 
-// drawSnapshot picks snapshot j with probability lens[j]/total via a
-// uniform 64-bit global position draw.
+// drawSnapshot picks snapshot (or shard) j with probability
+// lens[j]/total by drawing a uniform global stream position. The draw
+// is 64-bit (rng.Int63n): stream masses beyond 2³¹ must not truncate
+// on 32-bit platforms, where an int-width draw would corrupt the
+// mixture weights.
 func drawSnapshot(src *rng.PCG, lens []int64, total int64) int {
 	x := src.Int63n(total)
 	for j, l := range lens {

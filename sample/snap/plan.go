@@ -2,6 +2,7 @@ package snap
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -40,12 +41,13 @@ const mergeSeedMix = 0x5eed5eed5eed5eed
 // mutually independent samples come from one SampleK(qseed, k) over
 // disjoint groups.
 //
-// Concurrency: SampleK and Draw are safe from any goroutine. The
-// framework kinds' group tables are materialized under an internal
-// mutex and read-only afterwards; matrix trials never touch sampler
-// state (matrixsampler.Trial's contract); the single-sampler kinds
-// (F0, F0 oracle, strict-turnstile, multipass) restore a fresh sampler
-// from the cached merged state per call, serialized by the same mutex.
+// Concurrency: SampleK, Draw and DrawK (given a src of the caller's
+// own) are safe from any goroutine. The framework kinds' group tables
+// are materialized under an internal mutex and read-only afterwards;
+// matrix trials never touch sampler state (matrixsampler.Trial's
+// contract); the single-sampler kinds (F0, F0 oracle,
+// strict-turnstile, multipass) restore a fresh sampler from the cached
+// merged state per call, serialized by the same mutex.
 type MergePlan struct {
 	kind    sample.Kind
 	total   int64
@@ -55,15 +57,15 @@ type MergePlan struct {
 	zeta    float64
 	lens    []int64
 
-	// Framework kinds: decoded pools mixed by stream mass, plus the
-	// per-group trial tables ensureGroups materializes from them.
+	// Framework kinds: pools mixed by stream mass, plus the per-group
+	// trial tables Materialize fills from them.
 	pools []*core.GSampler
 	mu    sync.Mutex
-	// groups[q][j] is group q's trial vector for pool j, coins already
-	// flipped. Entries are append-only under mu and immutable once
-	// built, so readers that obtained a prefix under mu may index it
-	// lock-free.
-	groups [][][]core.Trial
+	// groups[q] is group q's trial table, coins already flipped: pool
+	// j's T trials at [j·T, (j+1)·T). Entries are append-only under mu
+	// and immutable once built, so readers that obtained a prefix under
+	// mu may index it lock-free.
+	groups [][]core.Trial
 
 	// Matrix kinds: decoded per-shard samplers whose instances each
 	// draw drives through Trial with its own coin stream.
@@ -96,7 +98,7 @@ func BuildMergePlan(states ...sample.State) (*MergePlan, error) {
 	}
 	switch spec.Kind {
 	case sample.KindL1, sample.KindMEstimator, sample.KindLp:
-		return p.buildFramework(states)
+		return buildFramework(states)
 	case sample.KindF0:
 		return p.buildF0(states)
 	case sample.KindF0Oracle:
@@ -116,6 +118,32 @@ func BuildMergePlan(states ...sample.State) (*MergePlan, error) {
 		return nil, fmt.Errorf("snap: %v snapshots do not merge (the Tukey rejection layer needs a per-shard split of its coin stream)", spec.Kind)
 	}
 	return nil, fmt.Errorf("snap: unsupported kind %v", spec.Kind)
+}
+
+// PoolPlan wires the m_j/m mixture over framework pools the caller
+// already holds: the per-pool stream masses m_j are read now, every
+// trial is normalized by the one global increment bound zeta, and
+// queries is the provisioned group count. It is the framework half of
+// BuildMergePlan without the decode — shard.Coordinator builds its
+// cached query plan over its drained worker pools with it. The plan
+// reads the pools whenever it materializes groups (Materialize, or
+// DrawK past the materialized prefix), so the caller must keep them
+// idle across those calls; draws within the materialized prefix never
+// touch them.
+func PoolPlan(pools []*core.GSampler, zeta float64, queries int) *MergePlan {
+	p := &MergePlan{
+		queries: queries,
+		shards:  len(pools),
+		budget:  pools[0].GroupSize(),
+		zeta:    zeta,
+		pools:   pools,
+		lens:    make([]int64, len(pools)),
+	}
+	for j, pool := range pools {
+		p.lens[j] = pool.StreamLen()
+		p.total += p.lens[j]
+	}
+	return p
 }
 
 // Kind returns the merged kind the plan answers for.
@@ -163,24 +191,7 @@ func (p *MergePlan) Merged(seed uint64) (*Merged, error) {
 // does not vary their answer; independence across their queries
 // returns as the fleet's state moves, as before.
 func (p *MergePlan) SampleK(qseed uint64, k int) ([]sample.Outcome, int) {
-	if k < 1 {
-		panic("snap: SampleK needs k ≥ 1")
-	}
-	if p.single != nil {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		s, err := sample.FromState(*p.single)
-		if err != nil {
-			// Unreachable: BuildMergePlan restored this exact state.
-			return nil, 0
-		}
-		return s.SampleK(k)
-	}
-	src := rng.New(qseed ^ mergeSeedMix)
-	if p.matrix != nil {
-		return p.sampleMatrix(src)
-	}
-	return p.sampleFramework(src, k)
+	return p.DrawK(rng.New(qseed^mergeSeedMix), k)
 }
 
 // Draw is SampleK for a single sample: the item and ok=false on FAIL.
@@ -192,7 +203,33 @@ func (p *MergePlan) Draw(qseed uint64) (sample.Outcome, bool) {
 	return outs[0], true
 }
 
-func (p *MergePlan) sampleFramework(src *rng.PCG, k int) ([]sample.Outcome, int) {
+// DrawK is the one mixture draw every query path runs: SampleK with
+// the mixture coins taken from src, which the caller owns for the
+// duration of the call. SampleK seeds src from qseed, a Merged view
+// passes its advancing stream, and shard.Coordinator passes the
+// request's split of its own mixture RNG. The single-sampler kinds
+// restore a fresh sampler from the merged state and ignore src.
+//
+// A plan over pools that keep ingesting (PoolPlan) must have been
+// materialized to at least k groups while its pools were still idle:
+// DrawK then only reads the frozen trial tables.
+func (p *MergePlan) DrawK(src *rng.PCG, k int) ([]sample.Outcome, int) {
+	if k < 1 {
+		panic("snap: SampleK needs k ≥ 1")
+	}
+	switch {
+	case p.single != nil:
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		s, err := sample.FromState(*p.single)
+		if err != nil {
+			// Unreachable: BuildMergePlan restored this exact state.
+			return nil, 0
+		}
+		return s.SampleK(k)
+	case p.matrix != nil:
+		return p.sampleMatrix(src)
+	}
 	if k > p.queries {
 		k = p.queries
 	}
@@ -203,11 +240,11 @@ func (p *MergePlan) sampleFramework(src *rng.PCG, k int) ([]sample.Outcome, int)
 		}
 		return outs, k
 	}
-	groups := p.ensureGroups(k)
+	groups := p.Materialize(k)
 	used := make([]int, p.shards)
 	outs := make([]sample.Outcome, 0, k)
-	for q := 0; q < k; q++ {
-		if out, ok := p.mergeGroup(src, used, groups[q]); ok {
+	for _, group := range groups {
+		if out, ok := p.mergeGroup(src, used, group); ok {
 			outs = append(outs, out)
 		}
 	}
@@ -234,36 +271,43 @@ func (p *MergePlan) sampleMatrix(src *rng.PCG) ([]sample.Outcome, int) {
 	return nil, 0
 }
 
-// ensureGroups materializes groups [0, k) of every pool's trial table
-// and returns a stable prefix. Groups are always filled in increasing
-// order, so each pool's coin consumption is a deterministic function
-// of the snapshotted states alone — two plans built from equal states
-// answer equal draws for equal qseeds, which is what makes the
-// aggregator's cached plan bit-for-bit reproducible.
-func (p *MergePlan) ensureGroups(k int) [][][]core.Trial {
+// Materialize flips the coins of groups [0, k) of every pool's trial
+// table, one [shard·T] buffer per group, and returns that stable
+// prefix. Groups are always filled in increasing order, so each pool's
+// coin consumption is a deterministic function of the pool states
+// alone — two plans built from equal states answer equal draws for
+// equal qseeds, which is what makes the aggregator's cached plan
+// bit-for-bit reproducible. A plan over live pools (PoolPlan) must be
+// materialized while they are idle; DrawK materializes on demand
+// otherwise.
+func (p *MergePlan) Materialize(k int) [][]core.Trial {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if cap(p.groups) < k {
+		p.groups = slices.Grow(p.groups, k-len(p.groups))
+	}
 	for q := len(p.groups); q < k; q++ {
-		shardTrials := make([][]core.Trial, len(p.pools))
-		for j, pool := range p.pools {
-			shardTrials[j] = pool.TrialsGroupZeta(q, p.zeta)
+		buf := make([]core.Trial, 0, len(p.pools)*p.budget)
+		for _, pool := range p.pools {
+			buf = pool.TrialsGroupAppend(buf, q, p.zeta)
 		}
-		p.groups = append(p.groups, shardTrials)
+		p.groups = append(p.groups, buf)
 	}
 	return p.groups[:k:k]
 }
 
 // mergeGroup runs the m_j/m mixture over one group's materialized
-// trials: trial t consumes the next unused instance of a snapshot
-// drawn with probability m_j/m, and the first acceptance wins —
-// shard.Coordinator's merge across process boundaries. Trials are
-// independent of the draw sequence, so the output law is unchanged by
-// the eager materialization.
-func (p *MergePlan) mergeGroup(src *rng.PCG, used []int, group [][]core.Trial) (sample.Outcome, bool) {
+// trials: trial t consumes the next unused instance of a pool drawn
+// with probability m_j/m, and the first acceptance wins — exactly the
+// single-machine pool law (see the sample/shard package comment).
+// Trials are independent of the draw sequence, so the output law is
+// unchanged by the eager materialization. src and used are per-request
+// state, so concurrent draws share one plan.
+func (p *MergePlan) mergeGroup(src *rng.PCG, used []int, group []core.Trial) (sample.Outcome, bool) {
 	clear(used)
 	for t := 0; t < p.budget; t++ {
 		j := drawSnapshot(src, p.lens, p.total)
-		tr := group[j][used[j]]
+		tr := group[j*p.budget+used[j]]
 		used[j]++
 		if tr.OK {
 			return sample.Outcome{Item: tr.Out.Item, Freq: tr.Out.AfterCount}, true

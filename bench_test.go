@@ -20,7 +20,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/amssketch"
 	"repro/internal/core"
@@ -943,23 +942,23 @@ func BenchmarkE26JSONDecode(b *testing.B) {
 // a recorder, the way FuzzBinaryIngest drives it) rather than over a
 // socket: kernel socket round-trips cost the same per request in every
 // arm and — on the single-core boxes CI runs on — serialize into a
-// floor that hides the ingest path this PR changes. E22/E25 already
+// floor that hides the ingest path these arms measure. E22/E25 already
 // record the socket-inclusive figures for the same workload mass.
 //
-// The JSON arm marshals each request client-side and has the node
-// JSON-decode and flush it into the engine on its own; the coalesced
-// arm speaks the binary frame into a batcher sized to gather one op's
-// worth of requests into a single engine flush. The throughput ratio
-// between the two arms is the headline BENCH_E26.json records
-// (acceptance: >= 2x).
-func benchE26Fanout(b *testing.B, cfg serve.NodeConfig, binary bool) {
+// Both arms go through the node's one ingest path, the group-commit
+// batcher, which gathers writers that arrive during a flush into the
+// next one. The JSON arm marshals each request client-side and has the
+// node JSON-decode it; the binary arm speaks the item frame, decoded
+// straight into the flush group's batch. BENCH_E26.json records the
+// throughput ratio between the two arms as measured.
+func benchE26Fanout(b *testing.B, binary bool) {
 	items := ingestStream()[:2048]
 	const writers = 16
 	per := len(items) / writers
 	node := serve.NewNode(
 		shard.NewLp(2, 1<<14, int64(len(items))*int64(b.N)+1<<20, 0.2, 1,
 			shard.Config{Shards: 2}),
-		cfg)
+		serve.NodeConfig{})
 	defer node.Close()
 	h := node.Handler()
 	fail := make(chan int, writers)
@@ -1002,22 +1001,16 @@ func benchE26Fanout(b *testing.B, cfg serve.NodeConfig, binary bool) {
 	b.ReportMetric(writers, "reqs/op")
 }
 
-// BenchmarkE26IngestJSONPerRequest is the baseline arm: each small
-// request is JSON-marshalled, JSON-decoded, and flushed into the
-// engine on its own.
+// BenchmarkE26IngestJSONPerRequest is the JSON arm: each small
+// request is JSON-marshalled and JSON-decoded.
 func BenchmarkE26IngestJSONPerRequest(b *testing.B) {
-	benchE26Fanout(b, serve.NodeConfig{}, false)
+	benchE26Fanout(b, false)
 }
 
-// BenchmarkE26CoalescedIngest is the fast path: binary frames, and a
-// batcher that gathers the 16 requests into one engine flush
-// (CoalesceItems equals the op's total mass, so the crossing writer
-// size-flushes; the max-wait timer is the backstop for stragglers).
+// BenchmarkE26CoalescedIngest is the binary arm: each small request
+// is one item frame.
 func BenchmarkE26CoalescedIngest(b *testing.B) {
-	benchE26Fanout(b, serve.NodeConfig{
-		CoalesceItems:   2048,
-		CoalesceMaxWait: time.Millisecond,
-	}, true)
+	benchE26Fanout(b, true)
 }
 
 // --- E27: query fast path (DESIGN.md §9) --------------------------------

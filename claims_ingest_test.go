@@ -1,20 +1,16 @@
 package repro
 
-// Headline claims for the ingest fast path (PR: binary content-type +
-// request-coalescing batcher): the codec a producer speaks and the
-// batching the node applies are transport details — they must change
-// neither a node's state evolution (bit-for-bit snapshot equality)
-// nor the sampling law under concurrent writers.
+// Headline claims for the ingest fast path (binary content-type +
+// group-commit batcher): the codec a producer speaks and the batching
+// the node applies are transport details — they must change neither a
+// node's state evolution (bit-for-bit snapshot equality) nor the
+// sampling law under concurrent writers.
 
 import (
 	"bytes"
-	"fmt"
-	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -24,10 +20,9 @@ import (
 	"repro/sample/shard"
 )
 
-// Claim (codec equivalence): the same item stream sent as JSON,
-// NDJSON, binary frames, and binary frames through the coalescing
-// batcher leaves identically-seeded nodes in bit-for-bit identical
-// states — the snapshot codec is deterministic, so byte-equal
+// Claim (codec equivalence): the same item stream sent as JSON and as
+// binary frames leaves identically-seeded nodes in bit-for-bit
+// identical states — the snapshot codec is deterministic, so byte-equal
 // snapshots mean equal state, RNG streams included. Checked for a
 // representative kind set: L1 and Lp(2) coordinators (the latter
 // exercises the Misra–Gries normalizer), an M-estimator coordinator,
@@ -39,67 +34,47 @@ func TestClaimIngestCodecEquivalence(t *testing.T) {
 
 	kinds := []struct {
 		name string
-		mk   func(cfg serve.NodeConfig) *serve.Node
+		mk   func() *serve.Node
 	}{
-		{"l1", func(cfg serve.NodeConfig) *serve.Node {
-			return serve.NewNode(shard.NewL1(0.1, 17, shard.Config{Shards: 2, Queries: 4}), cfg)
+		{"l1", func() *serve.Node {
+			return serve.NewNode(shard.NewL1(0.1, 17, shard.Config{Shards: 2, Queries: 4}), serve.NodeConfig{})
 		}},
-		{"lp2", func(cfg serve.NodeConfig) *serve.Node {
-			return serve.NewNode(shard.NewLp(2, 48, 4000, 0.1, 17, shard.Config{Shards: 2}), cfg)
+		{"lp2", func() *serve.Node {
+			return serve.NewNode(shard.NewLp(2, 48, 4000, 0.1, 17, shard.Config{Shards: 2}), serve.NodeConfig{})
 		}},
-		{"huber", func(cfg serve.NodeConfig) *serve.Node {
-			return serve.NewNode(shard.New(sample.MeasureHuber(3), 4000, 0.1, 17, shard.Config{Shards: 2}), cfg)
+		{"huber", func() *serve.Node {
+			return serve.NewNode(shard.New(sample.MeasureHuber(3), 4000, 0.1, 17, shard.Config{Shards: 2}), serve.NodeConfig{})
 		}},
-		{"randorderl2", func(cfg serve.NodeConfig) *serve.Node {
-			return serve.NewSamplerNode(sample.NewRandomOrderL2(256, 8, 17), cfg)
+		{"randorderl2", func() *serve.Node {
+			return serve.NewSamplerNode(sample.NewRandomOrderL2(256, 8, 17), serve.NodeConfig{})
 		}},
 	}
 
 	type transport struct {
 		name string
-		cfg  serve.NodeConfig
-		send func(cl *serve.Client, srv string, part []int64) error
-	}
-	jsonSend := func(cl *serve.Client, _ string, part []int64) error {
-		_, err := cl.Ingest(part)
-		return err
-	}
-	binarySend := func(cl *serve.Client, _ string, part []int64) error {
-		_, err := cl.IngestBinary(part)
-		return err
-	}
-	ndjsonSend := func(_ *serve.Client, srv string, part []int64) error {
-		var b strings.Builder
-		for _, it := range part {
-			fmt.Fprintf(&b, "%d\n", it)
-		}
-		resp, err := http.Post(srv+"/ingest", "application/x-ndjson", strings.NewReader(b.String()))
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("NDJSON ingest: HTTP %d", resp.StatusCode)
-		}
-		return nil
+		send func(cl *serve.Client, part []int64) error
 	}
 	transports := []transport{
-		{"json", serve.NodeConfig{}, jsonSend},
-		{"ndjson", serve.NodeConfig{}, ndjsonSend},
-		{"binary", serve.NodeConfig{}, binarySend},
-		{"binary-coalesced", serve.NodeConfig{CoalesceItems: 512, CoalesceMaxWait: time.Millisecond}, binarySend},
+		{"json", func(cl *serve.Client, part []int64) error {
+			_, err := cl.Ingest(part)
+			return err
+		}},
+		{"binary", func(cl *serve.Client, part []int64) error {
+			_, err := cl.IngestBinary(part)
+			return err
+		}},
 	}
 
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
 			var ref []byte
 			for _, tr := range transports {
-				node := kind.mk(tr.cfg)
+				node := kind.mk()
 				srv := httptest.NewServer(node.Handler())
 				cl := serve.NewClient(srv.URL)
 				for at := 0; at < len(items); at += batch {
 					end := min(at+batch, len(items))
-					if err := tr.send(cl, srv.URL, items[at:end]); err != nil {
+					if err := tr.send(cl, items[at:end]); err != nil {
 						t.Fatalf("%s: %v", tr.name, err)
 					}
 				}
@@ -123,11 +98,13 @@ func TestClaimIngestCodecEquivalence(t *testing.T) {
 }
 
 // Claim (coalesced ingest law): 16 concurrent writers pushing disjoint
-// slices of one stream through the coalescing batcher leave the node
-// answering merged queries chi-square-indistinguishable from the exact
-// G-distribution of the full stream. Coalescing reorders and re-batches
-// requests, but for L1 the law depends only on the realized frequency
-// vector — which concurrent coalesced ingestion must preserve exactly.
+// slices of one stream into a default node — whose group-commit
+// batcher gathers writers that arrive during a flush into the next one
+// — leave the node answering merged queries chi-square-indistinguishable
+// from the exact G-distribution of the full stream. Grouping reorders
+// and re-batches requests, but for L1 the law depends only on the
+// realized frequency vector — which concurrent grouped ingestion must
+// preserve exactly.
 func TestClaimCoalescedIngestLaw(t *testing.T) {
 	const (
 		n       = int64(32)
@@ -135,7 +112,7 @@ func TestClaimCoalescedIngestLaw(t *testing.T) {
 		k       = 256
 		fleets  = 12
 		writers = 16
-		req     = 25 // items per request — small, so requests really coalesce
+		req     = 25 // items per request — small, so flushes gather several
 	)
 	gen := stream.NewGenerator(rng.New(73))
 	items := gen.Zipf(n, m, 1.3)
@@ -154,7 +131,7 @@ func TestClaimCoalescedIngestLaw(t *testing.T) {
 	for fleet := 0; fleet < fleets; fleet++ {
 		node := serve.NewNode(
 			shard.NewL1(0.2, uint64(fleet)*8+3, shard.Config{Shards: 2, Queries: k}),
-			serve.NodeConfig{CoalesceItems: 128, CoalesceMaxWait: time.Millisecond})
+			serve.NodeConfig{})
 		srv := httptest.NewServer(node.Handler())
 		cl := serve.NewClient(srv.URL)
 

@@ -6,15 +6,13 @@
 //
 // A node serves POST /ingest, GET /sample, GET /stats and
 // GET /snapshot over a shard.Coordinator, checkpointing into -store on
-// the -checkpoint interval. Ingest accepts JSON ({"items":[…]}),
-// NDJSON, or the binary item frame (Content-Type
-// application/x-tp-items — serve.Client.IngestBinary emits it), the
-// fast path for high-rate producers. -coalesce N turns on the
-// request-coalescing batcher: concurrent ingest requests merge into
-// shared engine batches of N items (flushed early after
-// -coalesce-wait), multiplying ingest throughput under many small
-// writers while every 200 still means the request's items reached the
-// engine. -full-every sets the delta cadence: every
+// the -checkpoint interval. Ingest accepts JSON ({"items":[…]}) or the
+// binary item frame (Content-Type application/x-tp-items —
+// serve.Client.IngestBinary emits it), the fast path for high-rate
+// producers. Concurrent ingest requests that arrive while the engine
+// is busy ride one shared engine batch (group commit, DESIGN.md §8),
+// while every 200 still means the request's items reached the engine.
+// -full-every sets the delta cadence: every
 // Nth checkpoint is a full v1 snapshot and the writes between are
 // wire-v2 deltas against their predecessor (default 16; 1 = always
 // full), so a slowly-churning node pays O(change) bytes per interval.
@@ -104,8 +102,6 @@ func main() {
 		every     = flag.Duration("checkpoint", 30*time.Second, "node: checkpoint interval (needs -store)")
 		fullEvery = flag.Int("full-every", 0, "node: full-snapshot cadence — every Nth checkpoint is a full v1 snapshot, the rest v2 deltas (0 = default 16, 1 = always full)")
 		metrics   = flag.Bool("metrics", true, "node: instrument hot paths and serve them on GET /metrics (false leaves only the health surfaces)")
-		coalesce  = flag.Int("coalesce", 0, "node: coalesce concurrent ingest requests into shared engine batches of this many items (0 = off; each request still blocks until its items reach the engine)")
-		coalesceW = flag.Duration("coalesce-wait", 0, "node: max extra latency a coalesced ingest request waits for the shared batch to fill (0 = default 2ms; needs -coalesce)")
 		queryTO   = flag.Duration("query-timeout", 0, "aggregator: deadline on each query's node fan-out, including waits on shared in-flight fetches (0 = none)")
 		debug     = flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 		logLevel  = flag.String("log", "info", "request logging to stderr: debug (every request) | info (4xx/5xx only) | off")
@@ -122,7 +118,6 @@ func main() {
 				delta: *delta, seed: *seed, shards: *shardsN, queries: *queries,
 				storeDir: *store, every: *every, fullEvery: *fullEvery,
 				metrics: *metrics, debug: *debug, logger: logger, csvPath: *csvPath,
-				coalesce: *coalesce, coalesceWait: *coalesceW,
 			})
 		case "aggregator":
 			err = runAggregator(*addr, *nodes, *seed, *queryTO, *debug, logger)
@@ -171,8 +166,6 @@ type nodeOpts struct {
 	metrics, debug  bool
 	logger          *slog.Logger
 	csvPath         string
-	coalesce        int
-	coalesceWait    time.Duration
 }
 
 func runNode(o nodeOpts) error {
@@ -185,8 +178,6 @@ func runNode(o nodeOpts) error {
 		Debug:                o.debug,
 		Logger:               o.logger,
 		DisableObservability: !o.metrics,
-		CoalesceItems:        o.coalesce,
-		CoalesceMaxWait:      o.coalesceWait,
 	}
 	if o.csvPath != "" {
 		f, err := os.OpenFile(o.csvPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

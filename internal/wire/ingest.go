@@ -4,7 +4,7 @@ import "slices"
 
 // The binary ingest frame (Content-Type application/x-tp-items): the
 // length-prefixed item-batch encoding POST /ingest accepts alongside
-// JSON and NDJSON (DESIGN.md §8). It rides the same Reader/Writer
+// JSON (DESIGN.md §8). It rides the same Reader/Writer
 // substrate as the snapshot codec, so the same invariants hold — one
 // batch has exactly one encoding, and the decoder faces hostile bytes
 // with the allocation bounds wirebound polices: the item count is

@@ -1,207 +1,158 @@
 package serve
 
-// The request-coalescing batcher (NodeConfig.CoalesceItems, DESIGN.md
-// §8): many concurrent small /ingest writers append into one shared
-// buffer that flushes into the engine when it reaches the size
-// threshold or when its oldest writer has waited the max-wait bound.
-// The engine then sees few large batches instead of one ProcessBatch
-// per HTTP request — the coordinator's routing loop is its only serial
-// work, so batch size is what buys ingest throughput — while each
-// writer still blocks until the flush that carries its items
-// completes: a 200 keeps meaning "these items reached the engine
-// before this response", so the checkpoint durability contract is
-// byte-for-byte the one direct ingestion has.
+// The ingest batcher (DESIGN.md §8) is the one path from a decoded
+// /ingest request to the engine. It is group commit: every request
+// joins the pending flushGroup, and the writer that opened the group
+// takes ingestMu, detaches whatever the group holds by then and
+// flushes it. An idle node therefore flushes each request alone with
+// no added wait, while writers that arrive during a flush ride the
+// next one — the batch size follows how busy the engine is, with no
+// size or wait knob. Each writer blocks until the flush carrying its
+// items completes: a 200 means "these items reached the engine before
+// this response", which is the checkpoint durability contract. The
+// locks taken here follow the order stated on the Node struct.
 
 import (
 	"sync"
 	"time"
 )
 
-// DefaultCoalesceMaxWait bounds how long a coalesced request waits for
-// the shared buffer to fill when NodeConfig leaves CoalesceMaxWait
-// zero: 2ms adds negligible latency against network round-trips while
-// giving a busy node time to assemble full batches.
-const DefaultCoalesceMaxWait = 2 * time.Millisecond
-
-// flushReasons for the tp_coalesce_flushes_total counter.
-const (
-	flushSize    = "size"     // buffer reached CoalesceItems
-	flushMaxWait = "max_wait" // oldest writer waited CoalesceMaxWait
-	flushClose   = "close"    // Node.Close drained the pending buffer
-)
-
-// flushGroup is one shared batch: the items of every writer that
-// joined it, and the completion signal those writers wait on. err and
-// total are written before done closes and read only after.
+// flushGroup is one shared engine batch: the concatenated items of
+// every writer that joined it, each writer's segment end, and the
+// completion signal those writers wait on. err, errs and total are
+// written before done closes and read only after.
 type flushGroup struct {
 	items   []int64
-	created time.Time   // first writer's append — the queue-wait clock
-	timer   *time.Timer // max-wait flush, disarmed when size wins
+	ends    []int     // ends[i] is writer i's segment end in items
+	created time.Time // the opening writer's join — the queue-wait clock
 	done    chan struct{}
-	err     error // nil: flushed into the engine; errClosed or an engine rejection otherwise
-	total   int64 // engine stream mass after the flush (the writers' shared StreamLen ack)
+	err     error   // errClosed when the node lock had closed, else nil
+	errs    []error // per-writer engine rejections; nil when all were accepted
+	total   int64   // engine stream mass after the flush (the writers' StreamLen ack)
 }
 
-// batcher coalesces concurrent ingest writers into shared flushGroups.
-// One lives on each Node with NodeConfig.CoalesceItems > 0.
+// batcher groups concurrent ingest writers into flushGroups. Every
+// Node has one.
 type batcher struct {
-	node     *Node
-	maxItems int
-	maxWait  time.Duration
+	node *Node
 
 	mu      sync.Mutex
-	pending *flushGroup // the group currently accepting writers; nil when empty
+	pending *flushGroup // the group accepting writers; nil when none is open
 	closed  bool
-
-	// free recycles flushed item buffers: a bounded free list (not a
-	// sync.Pool — Put would box the slice header on every flush) that
+	// spare is the last flushed group's item buffer, handed to the next
+	// group: at most one group flushes while one fills, so one spare
 	// makes the steady-state flush loop allocation-free.
-	free chan []int64
+	spare []int64
 }
 
-func newBatcher(n *Node, maxItems int, maxWait time.Duration) *batcher {
-	if maxWait <= 0 {
-		maxWait = DefaultCoalesceMaxWait
-	}
-	return &batcher{
-		node:     n,
-		maxItems: maxItems,
-		maxWait:  maxWait,
-		free:     make(chan []int64, 4),
-	}
-}
-
-// newBuf hands out a recycled flush buffer, or grows a fresh one with
-// headroom past the threshold (the last writer of a group may overshoot
-// it by one request's batch).
-func (b *batcher) newBuf() []int64 {
-	select {
-	case buf := <-b.free:
-		return buf[:0]
-	default:
-		return make([]int64, 0, b.maxItems+b.maxItems/4)
-	}
-}
-
-func (b *batcher) recycle(buf []int64) {
-	select {
-	case b.free <- buf:
-	default:
-	}
-}
-
-// join appends one writer's items — through add, which extends the
-// shared buffer in place (append for decoded slices, a single-pass
-// frame decode for binary bodies) — and returns the group the writer
-// must wait on. add runs under the batcher lock and must honor the
-// rollback contract wire.DecodeItemsFrame honors: on error it returns
-// dst unchanged, so a hostile request is rejected (the error comes
-// back to its writer alone) without leaking a single item into the
-// shared flush the other writers ride. errClosed after Close.
-func (b *batcher) join(add func(dst []int64) ([]int64, error)) (*flushGroup, error) {
+// ingest appends one writer's items through add, waits for the flush
+// that carries them and returns the engine stream mass after it, or
+// this writer's error. add runs under the batcher lock and extends the
+// shared buffer in place (append for JSON-decoded items, a single-pass
+// frame decode for binary bodies). It must honor the rollback contract
+// wire.DecodeItemsFrame honors — on error it returns dst unchanged —
+// so a hostile request fails alone without leaking an item into the
+// flush the other writers ride. errClosed after close.
+func (b *batcher) ingest(add func(dst []int64) ([]int64, error)) (int64, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, errClosed
+		return 0, errClosed
 	}
-	g := b.pending
-	if g == nil {
-		g = &flushGroup{
-			items:   b.newBuf(),
-			created: time.Now(),
-			done:    make(chan struct{}),
+	g, lead := b.pending, b.pending == nil
+	if lead {
+		g = &flushGroup{items: b.spare, created: time.Now(), done: make(chan struct{})}
+		b.spare = nil
+	}
+	items, err := add(g.items)
+	if err != nil {
+		if lead {
+			b.spare = items // unchanged by the rollback contract
 		}
-		g.timer = time.AfterFunc(b.maxWait, func() { b.flushTimer(g) })
+		b.mu.Unlock()
+		return 0, err
+	}
+	g.items = items
+	g.ends = append(g.ends, len(items))
+	i := len(g.ends) - 1
+	if lead {
 		b.pending = g
 	}
-	ni, err := add(g.items)
-	g.items = ni
-	if err != nil {
-		if len(g.items) == 0 {
-			// This writer opened the group and contributed nothing:
-			// cancel it rather than let the timer flush an empty batch.
-			b.pending = nil
-			g.timer.Stop()
-		}
-		b.mu.Unlock()
-		return nil, err
-	}
-	if len(g.items) >= b.maxItems {
-		// Size flush, run by the writer that crossed the threshold:
-		// detach first so new writers start the next group while this
-		// one is inside the engine.
-		b.pending = nil
-		b.mu.Unlock()
-		g.timer.Stop()
-		b.flush(g, flushSize)
-		return g, nil
-	}
 	b.mu.Unlock()
-	return g, nil
+
+	if lead {
+		b.commit(g)
+	}
+	<-g.done
+	switch {
+	case g.err != nil:
+		return 0, g.err
+	case g.errs != nil && g.errs[i] != nil:
+		return 0, g.errs[i]
+	}
+	return g.total, nil
 }
 
-// flushTimer is the max-wait path: flush the group if it is still the
-// pending one (a size flush or Close may have won the race — the Stop
-// above cannot stop a timer whose goroutine already started).
-func (b *batcher) flushTimer(g *flushGroup) {
+// commit is the opening writer's half: once it holds ingestMu it
+// detaches the group — with every writer that joined while it waited —
+// and flushes it. If close took ingestMu first, close has already
+// detached and flushed the group, and there is nothing left to do.
+func (b *batcher) commit(g *flushGroup) {
+	b.node.ingestMu.Lock()
+	defer b.node.ingestMu.Unlock()
 	b.mu.Lock()
-	if b.pending != g {
-		b.mu.Unlock()
-		return
+	mine := b.pending == g
+	if mine {
+		b.pending = nil
 	}
-	b.pending = nil
 	b.mu.Unlock()
-	b.flush(g, flushMaxWait)
+	if mine {
+		b.flush(g)
+	}
 }
 
-// close flushes the pending buffer and refuses all further writers.
+// close flushes the pending group and refuses all further writers.
 // Node.Close calls it after the draining flag flips and before the
-// node lock closes: a writer that was already accepted into the buffer
-// gets its flush (and its 200, and its items in the final checkpoint);
-// a writer that arrives later gets errClosed (503) without ever having
-// been acknowledged. Zero acknowledged items are lost either way.
+// node lock closes: a writer already in the group gets its flush (and
+// its 200, and its items in the final checkpoint); a writer that
+// arrives later gets errClosed (503) without ever having been
+// acknowledged. Zero acknowledged items are lost either way.
 func (b *batcher) close() {
+	b.node.ingestMu.Lock()
+	defer b.node.ingestMu.Unlock()
 	b.mu.Lock()
 	b.closed = true
 	g := b.pending
 	b.pending = nil
 	b.mu.Unlock()
 	if g != nil {
-		g.timer.Stop()
-		b.flush(g, flushClose)
+		b.flush(g)
 	}
 }
 
-// flush hands the group's items to the engine under the node's
-// ingestion contract (single-producer via ingestMu, refused after the
-// node lock closes) and releases every waiting writer. All writers in
-// the group share the outcome: on a coordinator engine a flush cannot
-// be rejected; a bare sampler engine that rejects the merged batch
-// fails the whole group (see NodeConfig.CoalesceItems).
-func (b *batcher) flush(g *flushGroup, reason string) {
+// flush hands the group to the engine — one ProcessBatch call with
+// every writer's segment end, so each writer gets its own outcome —
+// and releases the waiting writers. Callers hold ingestMu (the
+// engine's single-producer contract); the engine call itself runs
+// inside locked, so it is refused once the node lock has closed.
+func (b *batcher) flush(g *flushGroup) {
 	n := b.node
 	wait := time.Since(g.created)
-	err := n.locked(func() error {
-		n.ingestMu.Lock()
-		defer n.ingestMu.Unlock()
-		if perr := n.eng.ProcessBatch(g.items); perr != nil {
-			g.err = perr
-			return nil
-		}
+	g.err = n.locked(func() error {
+		g.errs = n.eng.ProcessBatch(g.items, g.ends)
 		g.total = n.eng.StreamLen()
 		return nil
 	})
-	if err != nil {
-		g.err = err
-	}
 	if g.err == nil {
 		n.lastStream.Store(g.total)
 	}
-	n.met.coalesceFlush(reason, len(g.items), wait)
+	n.met.coalesceFlush(len(g.items), wait)
 	// The engine copied (coordinator) or fully applied (sampler) the
-	// items; the buffer can carry the next group. Writers never read
-	// g.items, so recycling before the wake-up is safe.
-	b.recycle(g.items)
+	// items, and writers never read g.items: the buffer can carry the
+	// next group.
+	b.mu.Lock()
+	b.spare = g.items[:0]
+	b.mu.Unlock()
 	g.items = nil
 	close(g.done)
 }

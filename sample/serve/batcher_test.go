@@ -1,9 +1,10 @@
 package serve
 
 // Tests for the binary ingest fast path (application/x-tp-items) and
-// the request-coalescing batcher: codec acceptance, hostile-body
-// rejection before the shared buffer, the body-limit interaction, the
-// Close-drain ack contract, and the HTTP-level fuzz target the CI
+// the group-commit ingest batcher: codec acceptance, hostile-body
+// rejection before the shared buffer, the body-limit interaction,
+// per-writer rejection and state equivalence inside one flush group,
+// the Close-drain ack contract, and the HTTP-level fuzz target the CI
 // fuzz-smoke job runs.
 
 import (
@@ -17,7 +18,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rng"
+	"repro/internal/stream"
 	"repro/internal/wire"
+	"repro/sample"
 	"repro/sample/shard"
 )
 
@@ -42,9 +46,8 @@ func TestIngestBinaryHTTP(t *testing.T) {
 	}
 }
 
-// Hostile binary bodies answer 400 and leak nothing into the engine —
-// on the direct path and, crucially, on the coalesced path, where a
-// partial frame must never contribute items to a shared flush.
+// Hostile binary bodies answer 400 and leak nothing into the engine:
+// a partial frame must never contribute items to a shared flush.
 func TestIngestBinaryMalformed(t *testing.T) {
 	valid := wire.EncodeItems([]int64{1, 2, 3, 4, 5})
 	hostile := map[string][]byte{
@@ -54,49 +57,34 @@ func TestIngestBinaryMalformed(t *testing.T) {
 		"trailing byte":   append(bytes.Clone(valid), 7),
 		"huge count":      append(bytes.Clone(valid[:5]), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01),
 	}
-	for _, cfg := range []NodeConfig{
-		{},
-		{CoalesceItems: 1 << 16, CoalesceMaxWait: time.Millisecond},
-	} {
-		name := "direct"
-		if cfg.CoalesceItems > 0 {
-			name = "coalesced"
+	_, srv, cl := newTestNode(t, NodeConfig{})
+	for tn, body := range hostile {
+		resp, err := http.Post(srv.URL+"/ingest", ContentTypeBinary, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			_, srv, cl := newTestNode(t, cfg)
-			for tn, body := range hostile {
-				resp, err := http.Post(srv.URL+"/ingest", ContentTypeBinary, bytes.NewReader(body))
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusBadRequest {
-					t.Fatalf("%s: status %d, want 400", tn, resp.StatusCode)
-				}
-			}
-			// A good batch after the hostile ones: the stream must hold
-			// exactly its items — a leaked partial frame would inflate it.
-			ack, err := cl.IngestBinary([]int64{8, 9})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ack.Accepted != 2 || ack.StreamLen != 2 {
-				t.Fatalf("hostile frames leaked into the engine: ack %+v, want 2/2", ack)
-			}
-		})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", tn, resp.StatusCode)
+		}
+	}
+	// A good batch after the hostile ones: the stream must hold exactly
+	// its items — a leaked partial frame would inflate it.
+	ack, err := cl.IngestBinary([]int64{8, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Accepted != 2 || ack.StreamLen != 2 {
+		t.Fatalf("hostile frames leaked into the engine: ack %+v, want 2/2", ack)
 	}
 }
 
-// The body limit fires before the shared buffer is touched: an
+// The body limit fires before any flush group is touched: an
 // oversized binary request 413s without contributing anything to a
-// coalesced flush (the regression test for the body-limit/coalescing
+// shared flush (the regression test for the body-limit/batcher
 // interaction).
 func TestIngestBinaryOversizedCoalesced(t *testing.T) {
-	_, srv, cl := newTestNode(t, NodeConfig{
-		MaxBodyBytes:    64,
-		CoalesceItems:   1 << 16,
-		CoalesceMaxWait: time.Millisecond,
-	})
+	_, srv, cl := newTestNode(t, NodeConfig{MaxBodyBytes: 64})
 	big := make([]int64, 1024)
 	for i := range big {
 		big[i] = int64(i)
@@ -118,11 +106,156 @@ func TestIngestBinaryOversizedCoalesced(t *testing.T) {
 	}
 }
 
+// pendingWriters reports how many writers the node's open flush group
+// holds (0 when none is open).
+func pendingWriters(n *Node) int {
+	n.batch.mu.Lock()
+	defer n.batch.mu.Unlock()
+	if n.batch.pending == nil {
+		return 0
+	}
+	return len(n.batch.pending.ends)
+}
+
+// waitPending polls until the node's open flush group holds want
+// writers. Tests hold n.ingestMu meanwhile, so the group's opening
+// writer cannot detach it: every writer started lands in that group,
+// in the order the test starts them.
+func waitPending(t *testing.T, n *Node, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for pendingWriters(n) < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("flush group never reached %d writers (holds %d)", want, pendingWriters(n))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// One writer's bad items fail only that writer: on a bare-sampler
+// node, a hostile writer and a good one forced into one flush group
+// get a 400 and a 200, and the engine holds the good writer's items
+// plus the hostile writer's prefix before its bad item.
+func TestGroupRejectsOnlyTheBadWriter(t *testing.T) {
+	n, cl := newSamplerTestNode(t, sample.NewMatrixRowsL2(4, 64, 0.25, 3).Stream())
+	type result struct {
+		ack IngestResponse
+		err error
+	}
+	bad, good := make(chan result, 1), make(chan result, 1)
+	n.ingestMu.Lock()
+	go func() {
+		ack, err := cl.Ingest([]int64{7, -1})
+		bad <- result{ack, err}
+	}()
+	waitPending(t, n, 1)
+	go func() {
+		ack, err := cl.Ingest([]int64{5, 9, 2})
+		good <- result{ack, err}
+	}()
+	waitPending(t, n, 2)
+	n.ingestMu.Unlock()
+
+	if r := <-bad; r.err == nil || !strings.Contains(r.err.Error(), "400") {
+		t.Fatalf("hostile writer answered %+v / %v, want a 400", r.ack, r.err)
+	}
+	r := <-good
+	if r.err != nil {
+		t.Fatalf("good writer in the hostile writer's group failed: %v", r.err)
+	}
+	if r.ack.Accepted != 3 || r.ack.StreamLen != 4 {
+		t.Fatalf("good writer's ack %+v, want 3 accepted of stream 4", r.ack)
+	}
+	if got := n.StreamLen(); got != 4 {
+		t.Fatalf("stream length %d, want 4 (the good 3 plus the hostile prefix)", got)
+	}
+}
+
+// Grouping changes no state: requests forced into one flush group
+// leave the node's snapshot bit-for-bit equal to a twin fed the same
+// requests one at a time — for a coordinator (one ProcessBatch over
+// the concatenation, Misra–Gries normalizer included) and a bare
+// sampler (one segment per writer).
+func TestGroupedIngestMatchesSequential(t *testing.T) {
+	items := stream.NewGenerator(rng.New(29)).Zipf(64, 900, 1.2)
+	var reqs [][]int64
+	for at := 0; at < len(items); at += 150 {
+		reqs = append(reqs, items[at:min(at+150, len(items))])
+	}
+	kinds := []struct {
+		name string
+		mk   func() *Node
+	}{
+		{"lp2", func() *Node {
+			return NewNode(shard.NewLp(2, 64, 2000, 0.1, 11, shard.Config{Shards: 2}), NodeConfig{})
+		}},
+		{"randorderl2", func() *Node {
+			return NewSamplerNode(sample.NewRandomOrderL2(256, 8, 11), NodeConfig{})
+		}},
+	}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			grouped, twin := kind.mk(), kind.mk()
+			srv := httptest.NewServer(grouped.Handler())
+			t.Cleanup(func() {
+				srv.Close()
+				grouped.Close()
+				twin.Close()
+			})
+			cl := NewClient(srv.URL)
+			errs := make(chan error, len(reqs))
+			grouped.ingestMu.Lock()
+			for i, part := range reqs {
+				go func() {
+					// Mixed codecs: the group carries both.
+					var err error
+					if i%2 == 0 {
+						_, err = cl.IngestBinary(part)
+					} else {
+						_, err = cl.Ingest(part)
+					}
+					errs <- err
+				}()
+				waitPending(t, grouped, i+1)
+			}
+			grouped.ingestMu.Unlock()
+			for range reqs {
+				if err := <-errs; err != nil {
+					t.Fatalf("grouped ingest: %v", err)
+				}
+			}
+			for _, part := range reqs {
+				if errs := twin.eng.ProcessBatch(part, []int{len(part)}); errs != nil {
+					t.Fatalf("twin ingest: %v", errs)
+				}
+			}
+			text, err := cl.Metrics()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(text, "tp_coalesce_batch_items_count 1\n") {
+				t.Fatalf("want all %d requests in one flush; exposition:\n%s", len(reqs), text)
+			}
+			got, err := grouped.eng.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.eng.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("one flush group left different state than the same requests fed one at a time")
+			}
+		})
+	}
+}
+
 // Concurrent writers through the batcher: every request is
 // individually acknowledged with its own count, nothing is lost or
-// duplicated, and the flush metrics record the coalescing.
+// duplicated, and the flush and decode metrics record every request.
 func TestCoalescedIngestConcurrent(t *testing.T) {
-	n, _, cl := newTestNode(t, NodeConfig{CoalesceItems: 64, CoalesceMaxWait: time.Millisecond})
+	n, _, cl := newTestNode(t, NodeConfig{})
 	const writers, reqs, per = 16, 8, 10
 	errs := make(chan error, writers)
 	var wg sync.WaitGroup
@@ -135,8 +268,8 @@ func TestCoalescedIngestConcurrent(t *testing.T) {
 				for i := range items {
 					items[i] = int64(w*1000 + r)
 				}
-				// Half the writers speak binary, half JSON: the batcher
-				// must coalesce across codecs.
+				// Half the writers speak binary, half JSON: a flush group
+				// carries both codecs.
 				var ack IngestResponse
 				var err error
 				if w%2 == 0 {
@@ -167,61 +300,69 @@ func TestCoalescedIngestConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, series := range []string{"tp_coalesce_flushes_total", "tp_coalesce_batch_items", "tp_coalesce_queue_wait_seconds"} {
+	for _, series := range []string{"tp_coalesce_batch_items", "tp_coalesce_queue_wait_seconds"} {
 		if !strings.Contains(text, series) {
 			t.Fatalf("exposition is missing %s", series)
 		}
 	}
+	// Binary frames decode inside the batcher but still count in the
+	// decode stage: one observation per request, whatever its codec.
+	if want := fmt.Sprintf("tp_ingest_decode_seconds_count %d\n", writers*reqs); !strings.Contains(text, want) {
+		t.Fatalf("exposition lacks %q", want)
+	}
 }
 
-// Close drains the pending coalescing buffer: a writer already
-// accepted into it gets its 200 and its items are in the final
-// checkpoint — zero acknowledged items lost — while later writers are
-// refused unacknowledged.
+// Close drains the pending flush group: a writer already in it gets
+// its 200 and its items are in the final checkpoint — zero
+// acknowledged items lost — while later writers are refused
+// unacknowledged.
 func TestCoalescedCloseDrain(t *testing.T) {
 	st, err := NewDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := shard.NewL1(0.1, 5, shard.Config{Shards: 2})
-	// Thresholds no request will hit: the writer parks in the buffer
-	// until Close flushes it.
-	n := NewNode(c, NodeConfig{Store: st, CoalesceItems: 1 << 20, CoalesceMaxWait: time.Hour})
+	n := NewNode(c, NodeConfig{Store: st})
 	srv := httptest.NewServer(n.Handler())
 	defer srv.Close()
 	cl := NewClient(srv.URL)
 
-	type result struct {
-		ack IngestResponse
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		ack, err := cl.IngestBinary([]int64{1, 2, 3})
-		done <- result{ack, err}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		n.batch.mu.Lock()
-		parked := n.batch.pending != nil
-		n.batch.mu.Unlock()
-		if parked {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("writer never reached the shared buffer")
-		}
+	// Hold ingestMu so no flush can run, start Close (it drains the
+	// batcher under ingestMu, so it queues on the lock), then let a
+	// writer that passed the draining guard just before it flipped open
+	// a group. Close usually reaches the lock first and flushes the
+	// parked group itself; if the writer does, it flushes its own group
+	// before the node lock closes. Either way the ack and the final
+	// checkpoint below must hold.
+	n.ingestMu.Lock()
+	closed := make(chan error, 1)
+	go func() { closed <- n.Close() }()
+	for !n.draining.Load() {
 		time.Sleep(time.Millisecond)
 	}
-	if err := n.Close(); err != nil {
+	rec := httptest.NewRecorder()
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(wire.EncodeItems([]int64{1, 2, 3})))
+		req.Header.Set("Content-Type", ContentTypeBinary)
+		n.handleIngest(rec, req)
+	}()
+	waitPending(t, n, 1)
+	n.ingestMu.Unlock()
+	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	r := <-done
-	if r.err != nil {
-		t.Fatalf("buffered writer must be flushed and acknowledged by Close, got %v", r.err)
+	<-wrote
+	var ack IngestResponse
+	if rec.Code != http.StatusOK {
+		t.Fatalf("parked writer must be flushed and acknowledged by Close, got %d %s", rec.Code, rec.Body)
 	}
-	if r.ack.Accepted != 3 || r.ack.StreamLen != 3 {
-		t.Fatalf("drained ack %+v, want 3/3", r.ack)
+	if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
+		t.Fatal(err)
+	}
+	if ack.Accepted != 3 || ack.StreamLen != 3 {
+		t.Fatalf("drained ack %+v, want 3/3", ack)
 	}
 	if _, err := cl.IngestBinary([]int64{9}); err == nil {
 		t.Fatal("ingest after Close was acknowledged")
@@ -241,7 +382,7 @@ func TestCoalescedCloseDrain(t *testing.T) {
 }
 
 // FuzzBinaryIngest drives hostile bytes through the full HTTP handler
-// of a coalescing node: every body must answer 200 (and then agree
+// of a default node: every body must answer 200 (and then agree
 // with the codec's own count), 400, or 413 — never panic, never hang,
 // never a partial ingest.
 func FuzzBinaryIngest(f *testing.F) {
@@ -254,7 +395,7 @@ func FuzzBinaryIngest(f *testing.F) {
 
 	const maxBody = 1 << 16
 	c := shard.NewL1(0.2, 9, shard.Config{Shards: 2})
-	n := NewNode(c, NodeConfig{MaxBodyBytes: maxBody, CoalesceItems: 256, CoalesceMaxWait: time.Millisecond})
+	n := NewNode(c, NodeConfig{MaxBodyBytes: maxBody})
 	h := n.Handler()
 	f.Cleanup(func() { n.Close() })
 

@@ -20,16 +20,19 @@ import (
 	"repro/sample/snap"
 )
 
-// engine is what a Node serves. ProcessBatch reports hostile input as
-// an error (the ingest handler answers 400); every other method
-// mirrors the coordinator surface the handlers were built against.
+// engine is what a Node serves. ProcessBatch takes one flush group's
+// concatenated items and each writer's segment end, and reports hostile
+// input as one error per writer (nil when every writer was accepted):
+// the ingest handler answers 400 to exactly the writers that sent it.
+// Every other method mirrors the coordinator surface the handlers were
+// built against.
 // SampleKLenShared's bool reports whether the answer reused a shared
 // query snapshot (the coordinator's version-stamped cache) — engines
 // without one always report false. Epoch is the state epoch the
 // node's cut cache keys on (see Node.cut): it moves with every call
 // that can change Snapshot's bytes — ingest and queries alike.
 type engine interface {
-	ProcessBatch(items []int64) error
+	ProcessBatch(items []int64, ends []int) []error
 	SampleKLenShared(k int) ([]sample.Outcome, int, int64, bool)
 	Snapshot() ([]byte, error)
 	Epoch() uint64
@@ -43,11 +46,17 @@ type engine interface {
 }
 
 // coordEngine serves a shard.Coordinator. Concurrency contracts are
-// the coordinator's own (single-producer ingestion — the node's
-// ingestMu provides it — and an any-goroutine read path).
+// the coordinator's own (single-producer ingestion, which the Node's
+// lock order provides, and an any-goroutine read path). A coordinator
+// cannot reject a batch, so the whole group is one ProcessBatch call:
+// its state depends only on the item sequence, not on where one
+// writer's segment ends.
 type coordEngine struct{ c *shard.Coordinator }
 
-func (e coordEngine) ProcessBatch(items []int64) error { e.c.ProcessBatch(items); return nil }
+func (e coordEngine) ProcessBatch(items []int64, _ []int) []error {
+	e.c.ProcessBatch(items)
+	return nil
+}
 func (e coordEngine) SampleKLenShared(k int) ([]sample.Outcome, int, int64, bool) {
 	return e.c.SampleKLenShared(k)
 }
@@ -67,8 +76,8 @@ func (e coordEngine) Close()                    { e.c.Close() }
 // this shape exists for are cheap per update, and their checkpoint is
 // snap.Snapshot of the one sampler, which the aggregator already
 // merges as a single-state pool (explodeStates). epoch is the engine's
-// state epoch, bumped under mu by every batch (a rejected one may have
-// ingested a prefix) and every query.
+// state epoch, bumped under mu by every ProcessBatch (a rejected
+// segment may have ingested a prefix) and every query.
 type samplerEngine struct {
 	mu       sync.Mutex
 	s        sample.Sampler
@@ -118,17 +127,35 @@ func describeSpec(spec sample.Spec) string {
 	return s
 }
 
-// ProcessBatch feeds the batch, converting the packed adapters'
-// hostile-input panics — a negative matrix item, a multipass item
-// outside the universe, a strict-turnstile deletion below zero — into
-// an error the ingest handler answers 400 with, so a bad client
-// cannot crash the node. Items before the offending one are already
-// ingested when the batch is rejected (the adapters validate each
-// update before mutating, so the sampler itself stays consistent).
-func (e *samplerEngine) ProcessBatch(items []int64) (err error) {
+// ProcessBatch feeds each writer's segment on its own, converting the
+// packed adapters' hostile-input panics — a negative matrix item, a
+// multipass item outside the universe, a strict-turnstile deletion
+// below zero — into that writer's error, so a bad client fails alone
+// and cannot crash the node. Items before the offending one are
+// already ingested when a segment is rejected (the adapters validate
+// each update before mutating, so the sampler itself stays consistent
+// for the segments after it).
+func (e *samplerEngine) ProcessBatch(items []int64, ends []int) []error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.epoch++
+	var errs []error
+	start := 0
+	for i, end := range ends {
+		if err := e.feed(items[start:end]); err != nil {
+			if errs == nil {
+				errs = make([]error, len(ends))
+			}
+			errs[i] = err
+		}
+		start = end
+	}
+	return errs
+}
+
+// feed runs one segment through the sampler, recovering a rejection.
+// Callers hold mu.
+func (e *samplerEngine) feed(items []int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: batch rejected: %v", r)

@@ -16,7 +16,8 @@ import (
 
 // nodeMetrics is the per-node bundle.
 type nodeMetrics struct {
-	// Ingest stages: body read, JSON/NDJSON decode, ProcessBatch.
+	// Ingest stages: body read, JSON or binary-frame decode, hand-off
+	// into the engine.
 	ingestRead    *obs.Histogram
 	ingestDecode  *obs.Histogram
 	ingestProcess *obs.Histogram
@@ -26,14 +27,10 @@ type nodeMetrics struct {
 	ingestBytes   *obs.Counter
 	streamLen     *obs.Gauge
 
-	// Coalescing batcher (NodeConfig.CoalesceItems): why flushes fired,
-	// how large the merged batches ran, and how long the oldest writer
-	// of each group queued before its flush.
-	coalesceSize    *obs.Counter
-	coalesceMaxWait *obs.Counter
-	coalesceClose   *obs.Counter
-	coalesceItems   *obs.Histogram
-	coalesceWait    *obs.Histogram
+	// Ingest batcher: how large each flush group ran, and how long its
+	// opening writer queued before the flush.
+	coalesceItems *obs.Histogram
+	coalesceWait  *obs.Histogram
 
 	// Checkpoint path: snapshot encode (the cut), delta diff, and the
 	// full-vs-delta split; write duration is the store bundle's
@@ -69,23 +66,17 @@ type nodeMetrics struct {
 func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 	return &nodeMetrics{
 		ingestRead:    reg.Histogram("tp_ingest_read_seconds", "Ingest stage: request body read.", nil),
-		ingestDecode:  reg.Histogram("tp_ingest_decode_seconds", "Ingest stage: JSON/NDJSON batch decode.", nil),
+		ingestDecode:  reg.Histogram("tp_ingest_decode_seconds", "Ingest stage: JSON or binary-frame batch decode.", nil),
 		ingestProcess: reg.Histogram("tp_ingest_process_seconds", "Ingest stage: ProcessBatch hand-off into the engine.", nil),
 		ingestReqs:    reg.Counter("tp_ingest_requests_total", "POST /ingest requests handled."),
 		ingestRejects: reg.Counter("tp_ingest_rejected_total", "POST /ingest requests refused (4xx/5xx)."),
 		ingestItems:   reg.Counter("tp_ingest_items_total", "Items accepted into the engine."),
 		ingestBytes:   reg.Counter("tp_ingest_bytes_total", "Request body bytes read on /ingest."),
 		streamLen:     reg.Gauge("tp_stream_len", "Engine stream mass after the last acknowledged batch."),
-		coalesceSize: reg.Counter("tp_coalesce_flushes_total", "Coalescing-batcher flushes, by trigger.",
-			obs.Label{Key: "reason", Value: flushSize}),
-		coalesceMaxWait: reg.Counter("tp_coalesce_flushes_total", "Coalescing-batcher flushes, by trigger.",
-			obs.Label{Key: "reason", Value: flushMaxWait}),
-		coalesceClose: reg.Counter("tp_coalesce_flushes_total", "Coalescing-batcher flushes, by trigger.",
-			obs.Label{Key: "reason", Value: flushClose}),
-		coalesceItems: reg.Histogram("tp_coalesce_batch_items", "Items per coalesced flush into the engine.",
+		coalesceItems: reg.Histogram("tp_coalesce_batch_items", "Items per batcher flush into the engine.",
 			[]float64{16, 64, 256, 1024, 4096, 16384, 65536}),
 		coalesceWait: reg.Histogram("tp_coalesce_queue_wait_seconds",
-			"Queue wait of each flush's oldest writer (first append to flush start).", nil),
+			"Queue wait of each flush group's opening writer (join to flush start).", nil),
 		ckptEncode: reg.Histogram("tp_checkpoint_encode_seconds", "Checkpoint stage: snapshot cut (engine encode).", nil),
 		ckptDiff:   reg.Histogram("tp_checkpoint_diff_seconds", "Checkpoint stage: wire-v2 delta diff against the previous state.", nil),
 		ckptFull:   reg.Counter("tp_checkpoints_total", "Checkpoints written, by kind.", obs.Label{Key: "kind", Value: "full"}),
@@ -139,20 +130,11 @@ func (m *nodeMetrics) ingest(read, decode, process time.Duration, bodyBytes, ite
 	m.streamLen.Set(float64(stream))
 }
 
-// coalesceFlush records one coalescing-batcher flush: what triggered
-// it (size, max_wait, or close), the merged batch size, and how long
-// its oldest writer queued.
-func (m *nodeMetrics) coalesceFlush(reason string, items int, wait time.Duration) {
+// coalesceFlush records one batcher flush: the group's size and how
+// long its opening writer queued.
+func (m *nodeMetrics) coalesceFlush(items int, wait time.Duration) {
 	if m == nil {
 		return
-	}
-	switch reason {
-	case flushSize:
-		m.coalesceSize.Inc()
-	case flushMaxWait:
-		m.coalesceMaxWait.Inc()
-	default:
-		m.coalesceClose.Inc()
 	}
 	m.coalesceItems.Observe(float64(items))
 	m.coalesceWait.Observe(wait.Seconds())

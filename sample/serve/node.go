@@ -45,29 +45,6 @@ type NodeConfig struct {
 	// MaxBodyBytes bounds a single /ingest body; DefaultMaxBodyBytes
 	// when zero.
 	MaxBodyBytes int64
-	// CoalesceItems, when > 0, turns on the request-coalescing batcher:
-	// concurrent POST /ingest writers append into one shared buffer
-	// that flushes into the engine once it holds CoalesceItems items or
-	// once its oldest writer has waited CoalesceMaxWait, whichever
-	// comes first — so the engine sees few large batches instead of one
-	// ProcessBatch per request. Each writer still blocks until the
-	// flush carrying its items completes: a 200 keeps meaning "these
-	// items reached the engine before this response", and Close flushes
-	// the pending buffer before its final checkpoint, so the durability
-	// contract is unchanged. Writers coalesced into one flush share its
-	// outcome: coordinator engines never reject a batch, but a bare
-	// sampler engine (NewSamplerNode) that rejects the merged batch
-	// fails every writer in the group with the same 400 — coalescing is
-	// built for coordinator nodes. A request is validated (body limit,
-	// frame/JSON decode) before it may touch the shared buffer: an
-	// oversized body answers 413 and a malformed one 400 without
-	// contributing a single item to any flush. 0 disables coalescing.
-	CoalesceItems int
-	// CoalesceMaxWait bounds the extra latency a coalesced request can
-	// spend waiting for the shared buffer to fill;
-	// DefaultCoalesceMaxWait when zero. Only read when CoalesceItems
-	// is set.
-	CoalesceMaxWait time.Duration
 	// KeepCheckpoints is how many of the newest node-written
 	// checkpoints survive pruning after each successful write:
 	// DefaultKeepCheckpoints when zero, unbounded when negative.
@@ -156,6 +133,25 @@ func (cfg NodeConfig) fullEvery() int {
 // (GET /snapshot, the bytes an Aggregator merges) and on a ticker into
 // the configured SnapshotStore. See the package comment for the
 // endpoint inventory and the durability contract.
+//
+// Lock order. A goroutine holding one of these locks takes only locks
+// further along its chain, never one before it:
+//
+//   - ingestMu → batcher.mu: a flush group's opening writer detaches
+//     the group, and close drains it, under both;
+//   - ingestMu → mu (read) → the engine's own locks: a flush runs the
+//     engine inside locked;
+//   - ckptMu → mu (read) → cutMu → the engine's own locks: Checkpoint
+//     cuts under the node lock, GET /snapshot enters the chain at mu,
+//     and Close's final cut skips mu, which is closed by then;
+//   - ckptMu → statsMu and ckptMu → basesMu: a checkpoint write
+//     records its outcome and its base.
+//
+// batcher.mu, statsMu and basesMu are leaves, held only for
+// bookkeeping and never across I/O. Handlers take mu (read) around
+// engine work only, and /stats reads statsMu before it; Close takes
+// ingestMu (draining the batcher), then mu for writing, then ckptMu
+// for the final checkpoint, one at a time.
 type Node struct {
 	eng engine
 	cfg NodeConfig
@@ -184,16 +180,17 @@ type Node struct {
 	mu     sync.RWMutex
 	closed bool
 
-	// ingestMu serializes ProcessBatch calls: the engine's ingestion
+	// ingestMu serializes engine flushes: the engine's ingestion
 	// contract is single-producer (the coordinator's contract; bare
-	// samplers lock internally too), and HTTP handlers run on
-	// arbitrary goroutines.
+	// samplers lock internally too), and HTTP handlers run on arbitrary
+	// goroutines. Only the batcher takes it — a flush group's opening
+	// writer to flush the group, and close to drain it.
 	ingestMu sync.Mutex
 
-	// batch is the request-coalescing batcher; nil unless
-	// cfg.CoalesceItems > 0. Its flushes run under locked+ingestMu like
-	// direct ingestion, and doClose drains it before the node lock
-	// closes so buffered writers still land in the final checkpoint.
+	// batch is the ingest batcher, the one path from a decoded /ingest
+	// request to the engine (batcher.go). doClose drains it before the
+	// node lock closes, so a writer already in a group still lands in
+	// the final checkpoint.
 	batch *batcher
 
 	// ckptMu serializes checkpoint cuts (so stored sequence numbers
@@ -220,8 +217,8 @@ type Node struct {
 	cutName  string
 
 	// statsMu guards the monitoring copies read by /stats; writers hold
-	// ckptMu first (lock order ckptMu → statsMu, and statsMu is never
-	// held across I/O), so a hung store write cannot dark monitoring.
+	// ckptMu first, but statsMu is never held across I/O, so a hung
+	// store write cannot dark monitoring.
 	statsMu    sync.Mutex
 	ckpts      int64
 	deltaCkpts int64
@@ -229,9 +226,8 @@ type Node struct {
 	lastErr    error
 
 	// basesMu guards the ring of recent full-snapshot states kept to
-	// serve /snapshot?since= deltas (see snapshotBaseHistory). Its own
-	// lock — never nested inside ckptMu's I/O section or the node lock
-	// — and held only for slice bookkeeping.
+	// serve /snapshot?since= deltas (see snapshotBaseHistory), held only
+	// for slice bookkeeping.
 	basesMu sync.Mutex
 	bases   []servedBase
 
@@ -527,9 +523,7 @@ func newNode(eng engine, cfg NodeConfig) *Node {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	if cfg.CoalesceItems > 0 {
-		n.batch = newBatcher(n, cfg.CoalesceItems, cfg.CoalesceMaxWait)
-	}
+	n.batch = &batcher{node: n}
 	if !cfg.DisableObservability {
 		n.met = newNodeMetrics(n.reg)
 		if n.cfg.Store != nil {
@@ -827,15 +821,13 @@ func (n *Node) doClose() error {
 		n.cfg.Logger.Info("node draining", "component", "node")
 	}
 
-	// Drain the coalescing buffer while the node lock is still open:
-	// writers already accepted into it get their flush (and their 200,
-	// and their items in the final checkpoint below); the draining flag
+	// Drain the batcher while the node lock is still open: writers
+	// already in the pending group get their flush (and their 200, and
+	// their items in the final checkpoint below); the draining flag
 	// above already refuses new requests, and the batcher itself now
-	// refuses any racing join with errClosed. Zero acknowledged items
+	// refuses any racing writer with errClosed. Zero acknowledged items
 	// are lost.
-	if n.batch != nil {
-		n.batch.close()
-	}
+	n.batch.close()
 
 	n.mu.Lock()
 	n.closed = true
@@ -867,9 +859,9 @@ func (n *Node) doClose() error {
 
 // Handler returns the node's HTTP handler:
 //
-//	POST /ingest       batched updates: JSON {"items":[…]}, NDJSON
-//	                   lines, or the binary item frame
-//	                   (application/x-tp-items, see ContentTypeBinary)
+//	POST /ingest       batched updates: JSON {"items":[…]} or the
+//	                   binary item frame (application/x-tp-items, see
+//	                   ContentTypeBinary)
 //	GET  /sample       merged node-local query; ?k= for k independent draws
 //	GET  /stats        NodeStats
 //	GET  /snapshot     fleet checkpoint: full v1 wire bytes, 304 on a
@@ -949,20 +941,12 @@ func refuse(w http.ResponseWriter, r *http.Request, err error) bool {
 	return true
 }
 
-// ingestBufPool recycles the direct (uncoalesced) binary fast path's
-// decode buffers: the frame decodes into a pooled slice, ProcessBatch
-// consumes it (the coordinator routes — copies — the items before
-// returning; a bare sampler applies them synchronously), and the
-// buffer goes back. Steady-state binary ingest allocates nothing per
-// request past the body read.
-var ingestBufPool = sync.Pool{New: func() any { return new([]int64) }}
-
 // bodyBufPool recycles the ingest body read buffers. Each buffer grows
 // to the largest body it has carried (bounded by MaxBodyBytes), after
 // which reads are copy-only: the read stage joins the decode stage in
 // allocating nothing per request at steady state. The buffer is only
 // referenced within handleIngest — decode copies items out (JSON into
-// fresh slices, binary into the pooled or coalesced batch) before the
+// fresh slices, binary into the flush group's batch) before the
 // handler returns it.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -972,8 +956,8 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// first — before any lock, so a client trickling its request can
 	// neither hold up Close nor smear socket time into the decode
 	// histogram; an oversized body therefore 413s here, before it can
-	// touch the shared coalescing buffer — then decode, then hand off to
-	// the engine.
+	// touch a flush group — then decode, then hand off to the engine
+	// through the batcher.
 	t0 := time.Now()
 	var status int
 	var nItems int // counted only once the engine acknowledges
@@ -1010,122 +994,55 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, status, err.Error())
 		return
 	}
-	ct := r.Header.Get("Content-Type")
-	binary := strings.HasPrefix(ct, ContentTypeBinary)
 
-	// Decode stage. The binary fast path decodes in ONE pass straight
-	// into the engine batch — a pooled buffer here on the direct path,
-	// the shared coalescing buffer inside join below — with no
-	// intermediate slice and no validating pre-pass: DecodeItemsFrame's
-	// rollback contract (on error the destination comes back unchanged)
-	// is what keeps a hostile frame from contributing a single item to a
-	// shared flush.
+	// Decode stage. JSON decodes here, outside every lock. The binary
+	// frame decodes in ONE pass straight into the flush group's shared
+	// buffer inside the batcher's add, with no intermediate slice and no
+	// validating pre-pass: DecodeItemsFrame's rollback contract (on
+	// error the destination comes back unchanged) is what keeps a
+	// hostile frame from contributing a single item to a shared flush.
+	// Either way the decode is timed into the decode stage; the process
+	// stage is the rest — joining a group, waiting for its flush, and
+	// the engine.
 	tDecode := time.Now()
-	var items []int64 // JSON/NDJSON decode result; binary decodes on use
-	var count int
-	var pooled *[]int64
+	binary := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary)
+	var items []int64 // the JSON decode result; binary decodes in add
 	if !binary {
-		items, err = decodeIngest(ct, bytes.NewReader(body))
-		count = len(items)
-	} else if n.batch == nil {
-		pooled = ingestBufPool.Get().(*[]int64)
-		items, err = wire.DecodeItemsFrame((*pooled)[:0], body)
-		count = len(items)
-	}
-	decodeDur = time.Since(tDecode)
-	if err != nil {
-		if pooled != nil {
-			*pooled = items[:0]
-			ingestBufPool.Put(pooled)
-		}
-		status = http.StatusBadRequest
-		writeError(w, r, status, err.Error())
-		return
-	}
-
-	tProcess := time.Now()
-	if n.batch != nil {
-		// Coalesced path: append into the shared buffer (binary decodes
-		// directly into it; a decode failure rolls the buffer back and
-		// fails only this writer) and wait for the flush that carries
-		// this request's items. The binary decode is therefore attributed
-		// to the process histogram, not the decode one — the price of the
-		// single-pass fast path.
-		g, jerr := n.batch.join(func(dst []int64) ([]int64, error) {
-			if binary {
-				ni, derr := wire.DecodeItemsFrame(dst, body)
-				if derr != nil {
-					return dst, derr
-				}
-				count = len(ni) - len(dst)
-				return ni, nil
-			}
-			return append(dst, items...), nil
-		})
-		if jerr == nil {
-			<-g.done
-			jerr = g.err
-		}
-		processDur = time.Since(tProcess)
-		if errors.Is(jerr, errClosed) {
-			status = http.StatusServiceUnavailable
-			refuse(w, r, jerr)
-			return
-		}
-		if jerr != nil {
-			// Either this writer's own frame failed to decode (the
-			// rollback left the group untouched) or an engine rejection
-			// failed every writer of the group alike (see
-			// NodeConfig.CoalesceItems).
+		items, err = decodeIngest(bytes.NewReader(body))
+		decodeDur = time.Since(tDecode)
+		if err != nil {
 			status = http.StatusBadRequest
-			writeError(w, r, status, jerr.Error())
+			writeError(w, r, status, err.Error())
 			return
 		}
-		status = http.StatusOK
-		nItems = count
-		writeJSON(w, http.StatusOK, IngestResponse{Accepted: count, StreamLen: g.total})
-		return
 	}
-
-	var total int64
-	var ingestErr error
-	err = n.locked(func() error {
-		// Serialized hand-off: the engine's ingestion contract is
-		// single-producer. The batch is fully routed (not yet necessarily
-		// applied by the workers) when ProcessBatch returns; a snapshot
-		// cut after this point drains and therefore includes it — that is
-		// the acknowledged-means-durable-to-next-checkpoint contract.
-		n.ingestMu.Lock()
-		defer n.ingestMu.Unlock()
-		if ingestErr = n.eng.ProcessBatch(items); ingestErr != nil {
-			// The client's items, not the node's health: report 400
-			// below, outside the lock, and keep serving.
-			return nil
+	count := len(items)
+	total, err := n.batch.ingest(func(dst []int64) ([]int64, error) {
+		if !binary {
+			return append(dst, items...), nil
 		}
-		total = n.eng.StreamLen()
-		return nil
+		t := time.Now()
+		out, derr := wire.DecodeItemsFrame(dst, body)
+		decodeDur = time.Since(t)
+		count = len(out) - len(dst)
+		return out, derr
 	})
-	if pooled != nil {
-		// ProcessBatch consumed the items (copy or synchronous apply);
-		// the buffer can serve the next request.
-		*pooled = items[:0]
-		ingestBufPool.Put(pooled)
-		items = nil
-	}
-	processDur = time.Since(tProcess)
-	if err != nil {
+	processDur = time.Since(tDecode) - decodeDur
+	if errors.Is(err, errClosed) {
 		status = http.StatusServiceUnavailable
 		refuse(w, r, err)
 		return
 	}
-	if ingestErr != nil {
+	if err != nil {
+		// This writer's own frame failed to decode, or the engine
+		// rejected its items — the client's items, not the node's
+		// health, and no other writer's.
 		status = http.StatusBadRequest
-		writeError(w, r, status, ingestErr.Error())
+		writeError(w, r, status, err.Error())
 		return
 	}
 	status = http.StatusOK
 	nItems = count
-	n.lastStream.Store(total)
 	writeJSON(w, http.StatusOK, IngestResponse{Accepted: count, StreamLen: total})
 }
 
@@ -1133,48 +1050,17 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 // the metrics path reads so a scrape never touches the engine.
 func (n *Node) streamGauge() int64 { return n.lastStream.Load() }
 
-// decodeIngest parses an ingest body: NDJSON (one JSON array or bare
-// item per line) under application/x-ndjson, a single {"items":[…]}
-// object otherwise.
-func decodeIngest(contentType string, body io.Reader) ([]int64, error) {
+// decodeIngest parses a JSON ingest body: one {"items":[…]} object.
+func decodeIngest(body io.Reader) ([]int64, error) {
 	dec := json.NewDecoder(body)
-	if strings.HasPrefix(contentType, "application/x-ndjson") {
-		var items []int64
-		for {
-			var raw json.RawMessage
-			if err := dec.Decode(&raw); err == io.EOF {
-				return items, nil
-			} else if err != nil {
-				return nil, fmt.Errorf("malformed NDJSON batch: %w", err)
-			}
-			var batch []int64
-			if err := json.Unmarshal(raw, &batch); err == nil {
-				items = append(items, batch...)
-				continue
-			}
-			var one int64
-			if err := json.Unmarshal(raw, &one); err != nil {
-				return nil, fmt.Errorf("malformed NDJSON line %q: want an array of items or one item", truncate(raw))
-			}
-			items = append(items, one)
-		}
-	}
 	var req IngestRequest
 	if err := dec.Decode(&req); err != nil {
-		// %w keeps http.MaxBytesError reachable for the 413 path.
 		return nil, fmt.Errorf("malformed ingest body: %w", err)
 	}
 	if dec.More() {
-		return nil, errors.New("trailing data after the ingest object (use application/x-ndjson for multi-value bodies)")
+		return nil, errors.New("trailing data after the ingest object")
 	}
 	return req.Items, nil
-}
-
-func truncate(raw []byte) string {
-	if len(raw) > 40 {
-		return string(raw[:40]) + "…"
-	}
-	return string(raw)
 }
 
 func (n *Node) handleSample(w http.ResponseWriter, r *http.Request) {

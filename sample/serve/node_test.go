@@ -47,29 +47,6 @@ func TestIngestAndSampleHTTP(t *testing.T) {
 	}
 }
 
-func TestIngestNDJSON(t *testing.T) {
-	_, srv, cl := newTestNode(t, NodeConfig{})
-	body := "[1,2,3]\n7\n[4]\n"
-	resp, err := http.Post(srv.URL+"/ingest", "application/x-ndjson", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ack IngestResponse
-	if err := decodeResponse(resp, &ack); err != nil {
-		t.Fatalf("NDJSON ingest: %v", err)
-	}
-	if ack.Accepted != 5 || ack.StreamLen != 5 {
-		t.Fatalf("ack = %+v, want 5 items", ack)
-	}
-	st, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.StreamLen != 5 || st.Shards != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestIngestMalformed(t *testing.T) {
 	_, srv, _ := newTestNode(t, NodeConfig{})
 	cases := []struct {

@@ -10,9 +10,9 @@
 // # Topology
 //
 // A Node wraps one shard.Coordinator: POST /ingest feeds it (JSON or
-// NDJSON batches), GET /sample answers node-local merged queries, GET
-// /snapshot cuts a fleet checkpoint (Coordinator.Snapshot, reused
-// while the coordinator's state epoch is unchanged, DESIGN.md §5) —
+// binary-frame batches), GET /sample answers node-local merged
+// queries, GET /snapshot cuts a fleet checkpoint (Coordinator.Snapshot,
+// reused while the coordinator's state epoch is unchanged, DESIGN.md §5) —
 // served conditionally: the content-addressed state name is the ETag,
 // a matching If-None-Match or ?since= answers 304, and a ?since= naming
 // a recent state the node still holds gets a wire-v2 delta instead of
@@ -89,10 +89,6 @@ import (
 const (
 	// ContentTypeJSON is a single {"items":[…]} object (IngestRequest).
 	ContentTypeJSON = "application/json"
-	// ContentTypeNDJSON is one JSON value per line — an array of items
-	// or a bare item — so a producer can stream a batch without framing
-	// the whole request in memory.
-	ContentTypeNDJSON = "application/x-ndjson"
 	// ContentTypeBinary is the length-prefixed binary item frame
 	// (internal/wire: "TPIB" magic, version, count, zig-zag varints).
 	// Bodies that fail to parse as exactly one frame answer 400.
@@ -100,10 +96,7 @@ const (
 )
 
 // IngestRequest is the body of POST /ingest with
-// Content-Type application/json. With application/x-ndjson the body is
-// instead one JSON value per line — an array of items (a batch) or a
-// bare item — which lets a producer stream batches without framing the
-// whole request in memory.
+// Content-Type application/json.
 type IngestRequest struct {
 	Items []int64 `json:"items"`
 }

@@ -9,6 +9,7 @@ package repro
 
 import (
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -125,9 +126,13 @@ func TestClaimObsExposition(t *testing.T) {
 // within 10% of the uninstrumented one. Each trial serves both arms at
 // once and alternates them request by request (which arm goes first
 // alternates too), so a stretch of host load lands on both arms rather
-// than on one; min-of-trials on both arms then suppresses the trials
-// such a stretch hit. Still a wall-clock claim, so -short skips it
-// (CI's race job) and the serve job runs it headlong.
+// than on one. A trial's figure for an arm is its median request time:
+// a request the host preempts for milliseconds is an outlier on one
+// arm only, and a few of them swing a sum by ±20% on a loaded 2-vCPU
+// host, while the cost of instrumentation is paid by every request and
+// moves the median. Min-of-trials on both arms then suppresses the
+// trials a longer stretch of load hit. Still a wall-clock claim, so
+// -short skips it (CI's race job) and the serve job runs it headlong.
 func TestClaimObsOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock claim; skipped with -short")
@@ -157,24 +162,31 @@ func TestClaimObsOverhead(t *testing.T) {
 		var stops [2]func()
 		arms[0], stops[0] = serveArm(false)
 		arms[1], stops[1] = serveArm(true)
-		var spent [2]time.Duration
+		var spent [2][]time.Duration
 		for i := 0; i < batches; i++ {
 			for _, a := range [2]int{i % 2, 1 - i%2} {
 				t0 := time.Now()
 				if _, err := arms[a].Ingest(items); err != nil {
 					t.Fatal(err)
 				}
-				spent[a] += time.Since(t0)
+				spent[a] = append(spent[a], time.Since(t0))
 			}
 		}
 		stops[0]()
 		stops[1]()
-		on, off = min(on, spent[0]), min(off, spent[1])
+		on, off = min(on, median(spent[0])), min(off, median(spent[1]))
 	}
 	overhead := float64(on)/float64(off) - 1
-	t.Logf("instrumented %v vs uninstrumented %v: %+.2f%% (BENCH_E25.json recorded +1.63%%)",
+	t.Logf("instrumented %v vs uninstrumented %v per request: %+.2f%% (BENCH_E25.json recorded +1.63%%)",
 		on, off, overhead*100)
 	if overhead > 0.10 {
 		t.Fatalf("instrumented ingest is %.1f%% slower than uninstrumented, claim bar is 10%%", overhead*100)
 	}
+}
+
+// median returns the middle of ds (the upper middle for an even
+// count); it sorts ds in place.
+func median(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }

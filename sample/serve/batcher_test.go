@@ -47,7 +47,11 @@ func TestIngestBinaryHTTP(t *testing.T) {
 }
 
 // Hostile binary bodies answer 400 and leak nothing into the engine:
-// a partial frame must never contribute items to a shared flush.
+// a partial frame must never contribute items to a shared flush. The
+// direct case posts them to an idle node, where each request would
+// flush alone; the coalesced case posts them while a good writer holds
+// the flush group open (the test holds ingestMu), so every hostile
+// frame decodes into that group's shared buffer and must roll back.
 func TestIngestBinaryMalformed(t *testing.T) {
 	valid := wire.EncodeItems([]int64{1, 2, 3, 4, 5})
 	hostile := map[string][]byte{
@@ -57,26 +61,61 @@ func TestIngestBinaryMalformed(t *testing.T) {
 		"trailing byte":   append(bytes.Clone(valid), 7),
 		"huge count":      append(bytes.Clone(valid[:5]), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01),
 	}
-	_, srv, cl := newTestNode(t, NodeConfig{})
-	for tn, body := range hostile {
-		resp, err := http.Post(srv.URL+"/ingest", ContentTypeBinary, bytes.NewReader(body))
+	postHostile := func(t *testing.T, url string) {
+		t.Helper()
+		for tn, body := range hostile {
+			resp, err := http.Post(url+"/ingest", ContentTypeBinary, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s: status %d, want 400", tn, resp.StatusCode)
+			}
+		}
+	}
+	t.Run("direct", func(t *testing.T) {
+		_, srv, cl := newTestNode(t, NodeConfig{})
+		postHostile(t, srv.URL)
+		// A good batch after the hostile ones: the stream must hold
+		// exactly its items — a leaked partial frame would inflate it.
+		ack, err := cl.IngestBinary([]int64{8, 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", tn, resp.StatusCode)
+		if ack.Accepted != 2 || ack.StreamLen != 2 {
+			t.Fatalf("hostile frames leaked into the engine: ack %+v, want 2/2", ack)
 		}
-	}
-	// A good batch after the hostile ones: the stream must hold exactly
-	// its items — a leaked partial frame would inflate it.
-	ack, err := cl.IngestBinary([]int64{8, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Accepted != 2 || ack.StreamLen != 2 {
-		t.Fatalf("hostile frames leaked into the engine: ack %+v, want 2/2", ack)
-	}
+	})
+	t.Run("coalesced", func(t *testing.T) {
+		n, srv, cl := newTestNode(t, NodeConfig{})
+		type result struct {
+			ack IngestResponse
+			err error
+		}
+		good := make(chan result, 1)
+		n.ingestMu.Lock()
+		go func() {
+			ack, err := cl.IngestBinary([]int64{8, 9})
+			good <- result{ack, err}
+		}()
+		waitPending(t, n, 1)
+		postHostile(t, srv.URL)
+		n.batch.mu.Lock()
+		writers, buffered := len(n.batch.pending.ends), len(n.batch.pending.items)
+		n.batch.mu.Unlock()
+		n.ingestMu.Unlock()
+		if writers != 1 || buffered != 2 {
+			t.Fatalf("open group holds %d writers and %d items after the hostile frames, want 1 and 2", writers, buffered)
+		}
+		r := <-good
+		if r.err != nil {
+			t.Fatalf("good writer in the hostile frames' group failed: %v", r.err)
+		}
+		if r.ack.Accepted != 2 || r.ack.StreamLen != 2 {
+			t.Fatalf("hostile frames leaked into the shared flush: ack %+v, want 2/2", r.ack)
+		}
+	})
 }
 
 // The body limit fires before any flush group is touched: an

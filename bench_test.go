@@ -1069,7 +1069,7 @@ func BenchmarkE27QueryColdMerge(b *testing.B) {
 }
 
 // BenchmarkE27QueryCachedPlan is the fast path: the plan is built (and
-// its trial tables materialized) once, and every op only pays the
+// its group tables materialized) once, and every op only pays the
 // seeded mixture draw — what an aggregator query costs while no node's
 // state name moves. The ratio against E27QueryColdMerge is the
 // headline BENCH_E27.json records (acceptance: >= 5x).
@@ -1079,7 +1079,7 @@ func BenchmarkE27QueryCachedPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, n := plan.SampleK(1, 16); n == 0 { // materialize the trial tables
+	if _, n := plan.SampleK(1, 16); n == 0 { // materialize the group tables
 		b.Fatal("every draw failed")
 	}
 	b.ResetTimer()
@@ -1128,7 +1128,7 @@ func BenchmarkE27NodeSampleShared(b *testing.B) { benchE27NodeSample(b, false) }
 
 // BenchmarkE27NodeSamplePerRequest is the control arm: a routed update
 // per op invalidates the snapshot, so every query drains the workers
-// and re-materializes its trial tables.
+// and re-materializes its group tables.
 func BenchmarkE27NodeSamplePerRequest(b *testing.B) { benchE27NodeSample(b, true) }
 
 // --- ablations (DESIGN.md §4) -------------------------------------------

@@ -339,48 +339,42 @@ func (s *GSampler) SampleAll() []Outcome {
 	return out
 }
 
-// Trial is one instance's rejection-step result: OK reports acceptance,
-// and Out is meaningful only when OK is true.
-type Trial struct {
-	Out Outcome
-	OK  bool
-}
-
-// TrialsGroupAppend runs the rejection step of Algorithm 2 on every
+// FirstAcceptance runs the rejection step of Algorithm 2 on every
 // instance of query group q, in pool order, normalized by the explicit
-// increment bound zeta, and appends each instance's individual result
-// to dst. Distinct instances' trials are independent, and each accepted
-// outcome carries the exact per-instance law
-// P[accept ∧ item = i] = G(f_i)/(ζm) — the property the m_j/m mixture
-// (sample/snap's MergePlan, which also serves shard.Coordinator)
-// consumes when it interleaves trials from several pools into one
-// merged query. Trials from distinct groups involve disjoint
-// instances, so merged queries built from different groups are
-// mutually independent.
+// increment bound zeta, and returns the group index of the first
+// instance that accepted together with its outcome, or −1 when none
+// did. Every instance flips its coin even after the first acceptance,
+// so the pool's PCG advances exactly as if each trial were kept.
+//
+// The first acceptance is all a merged query can read from a group:
+// the m_j/m mixture (sample/snap's MergePlan, which also serves
+// shard.Coordinator) walks pool j's trials in order and stops at the
+// first accepted one. Each trial carries the exact per-instance law
+// P[accept ∧ item = i] = G(f_i)/(ζm), trials are independent, and
+// distinct groups involve disjoint instances, so merged queries built
+// from different groups are mutually independent.
 //
 // zeta overrides the pool's own normalizer: every pool in a merge must
 // be normalized by one shared global ζ, which must be a valid increment
-// bound for this pool's realized stream. Appending lets a merge fill
-// one [shard·T] buffer per group. Each call draws fresh rejection
-// coins; an empty stream appends groupSize zero trials without
-// flipping a single coin, so the pool's PCG stream — which snapshots
-// capture bit-for-bit — does not advance.
-func (s *GSampler) TrialsGroupAppend(dst []Trial, q int, zeta float64) []Trial {
+// bound for this pool's realized stream. Each call draws fresh
+// rejection coins; an empty stream returns −1 without flipping a single
+// coin, so the pool's PCG stream — which snapshots capture bit-for-bit
+// — does not advance.
+func (s *GSampler) FirstAcceptance(q int, zeta float64) (int, Outcome) {
 	if q < 0 || q >= s.Queries() {
-		panic("core: TrialsGroupAppend group index out of range")
+		panic("core: FirstAcceptance group index out of range")
 	}
+	at, first := -1, Outcome{}
 	if s.t == 0 {
-		for i := 0; i < s.groupSize; i++ {
-			dst = append(dst, Trial{})
-		}
-		return dst
+		return at, first
 	}
 	base := q * s.groupSize
 	for i := 0; i < s.groupSize; i++ {
-		o, ok := s.sampleInstance(base+i, zeta)
-		dst = append(dst, Trial{Out: o, OK: ok})
+		if o, ok := s.sampleInstance(base+i, zeta); ok && at < 0 {
+			at, first = i, o
+		}
 	}
-	return dst
+	return at, first
 }
 
 func (s *GSampler) zeta() float64 {
@@ -548,15 +542,10 @@ func NewLpSamplerK(p float64, n, m int64, delta float64, queries int, seed uint6
 		}
 	}
 	mg := misragries.New(LpMGWidth(p, n))
-	zetaFn := func() float64 {
-		z := mg.MaxUpperBound()
-		if z < 1 {
-			z = 1
-		}
-		return p * math.Pow(float64(z), p-1)
-	}
+	g := measure.Lp{P: p}
+	zetaFn := func() float64 { return g.Zeta(max(mg.MaxUpperBound(), 1)) }
 	return &LpSampler{
-		g:  NewGSamplerK(measure.Lp{P: p}, r, queries, seed, zetaFn),
+		g:  NewGSamplerK(g, r, queries, seed, zetaFn),
 		mg: mg,
 		p:  p,
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/measure"
@@ -102,17 +103,84 @@ func TestSampleKGroupAccounting(t *testing.T) {
 	if _, present := freq[out.Item]; !present {
 		t.Fatalf("sampled item %d not in stream", out.Item)
 	}
-	// TrialsGroupAppend appends exactly one group's worth of trials,
-	// and an out-of-range group panics.
-	if got := len(s.TrialsGroupAppend(nil, 3, 1)); got != 6 {
-		t.Fatalf("TrialsGroupAppend len = %d, want 6", got)
+	// FirstAcceptance reports an index inside one group, and an
+	// out-of-range group panics.
+	if at, _ := s.FirstAcceptance(3, 1); at < -1 || at >= 6 {
+		t.Fatalf("FirstAcceptance index = %d, want in [-1, 6)", at)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("TrialsGroupAppend group 4 did not panic")
+			t.Fatal("FirstAcceptance group 4 did not panic")
 		}
 	}()
-	s.TrialsGroupAppend(nil, 4, 1)
+	s.FirstAcceptance(4, 1)
+}
+
+// fullTrialLoop is the reference FirstAcceptance replaced: it runs
+// every instance of group q through the rejection step and keeps each
+// result, the table the merge plan used to store. FirstAcceptance must
+// agree with its first accepted entry and leave the PCG where it does.
+func fullTrialLoop(s *GSampler, q int, zeta float64) (oks []bool, outs []Outcome) {
+	if s.t == 0 {
+		return make([]bool, s.groupSize), make([]Outcome, s.groupSize)
+	}
+	base := q * s.groupSize
+	for i := 0; i < s.groupSize; i++ {
+		o, ok := s.sampleInstance(base+i, zeta)
+		oks, outs = append(oks, ok), append(outs, o)
+	}
+	return oks, outs
+}
+
+// FirstAcceptance must flip the same coins in the same order as the
+// full trial loop: same first index, same outcome, same PCG state
+// afterwards. Pools: L1, Lp p=2 and Lp p=0.5, empty and Zipf streams,
+// every group, ζ from tight to so loose that no trial accepts.
+func TestFirstAcceptanceMatchesFullLoop(t *testing.T) {
+	gen := stream.NewGenerator(rng.New(61))
+	none, some := 0, 0
+	for _, g := range []measure.Func{measure.Lp{P: 1}, measure.Lp{P: 2}, measure.Lp{P: 0.5}} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			var items []int64
+			if seed > 1 {
+				items = gen.Zipf(64, int(seed)*500, 1.1)
+			}
+			ref := NewGSamplerK(g, 12, 3, seed, nil)
+			got := NewGSamplerK(g, 12, 3, seed, nil)
+			ref.ProcessBatch(items)
+			got.ProcessBatch(items)
+			base := g.Zeta(max(ref.StreamLen(), 1))
+			for _, scale := range []float64{1, 4, 1e9} {
+				for q := 0; q < 3; q++ {
+					oks, outs := fullTrialLoop(ref, q, base*scale)
+					at, out := got.FirstAcceptance(q, base*scale)
+					want := slices.Index(oks, true)
+					if at != want {
+						t.Fatalf("%s seed %d ζ×%g group %d: index %d, full loop %d",
+							g.Name(), seed, scale, q, at, want)
+					}
+					if want >= 0 && out != outs[want] {
+						t.Fatalf("%s seed %d ζ×%g group %d: outcome %+v, full loop %+v",
+							g.Name(), seed, scale, q, out, outs[want])
+					}
+					if want < 0 {
+						none++
+					} else {
+						some++
+					}
+					rh, rl := ref.src.State()
+					gh, gl := got.src.State()
+					if rh != gh || rl != gl {
+						t.Fatalf("%s seed %d ζ×%g group %d: PCG state differs from the full loop",
+							g.Name(), seed, scale, q)
+					}
+				}
+			}
+		}
+	}
+	if none == 0 || some == 0 {
+		t.Fatalf("cases cover %d groups with an acceptance and %d without; want both", some, none)
+	}
 }
 
 // The LpSampler multi-query constructor must wire groups through to the

@@ -44,7 +44,10 @@ type Lp struct{ P float64 }
 // Name implements Func.
 func (l Lp) Name() string { return fmt.Sprintf("L%.4g", l.P) }
 
-// G implements Func.
+// G implements Func. For p = 2 and p = 3 it multiplies instead of
+// calling math.Pow: Pow's own squaring loop forms the same rounded
+// products on the mantissa and rescales exactly, so the results are
+// bit-for-bit equal (TestLpIntegerPowMatchesPow) and no coin moves.
 func (l Lp) G(x int64) float64 {
 	if x < 0 {
 		x = -x
@@ -52,7 +55,14 @@ func (l Lp) G(x int64) float64 {
 	if x == 0 {
 		return 0
 	}
-	return math.Pow(float64(x), l.P)
+	fx := float64(x)
+	switch l.P {
+	case 2:
+		return fx * fx
+	case 3:
+		return fx * fx * fx
+	}
+	return math.Pow(fx, l.P)
 }
 
 // Increment implements Func.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 // allFuncs returns one instance of every measure function for generic
@@ -177,6 +179,48 @@ func TestLpKnownValues(t *testing.T) {
 	l1 := Lp{P: 1}
 	if l1.Zeta(100) != 1 {
 		t.Fatalf("L1 zeta = %v", l1.Zeta(100))
+	}
+}
+
+// TestLpIntegerPowMatchesPow pins Lp.G's multiply path for p = 2 and
+// p = 3 to math.Pow bit for bit: every acceptance coin the framework
+// flips compares against Increment, so one differing ulp would move a
+// coin. Inputs: random x in [1, 2^62], drawn uniformly and
+// log-uniformly; 2^k ± 1; negatives; 0. p = 0.5 and p = 2.5 run
+// through the same comparison, so a multiply path that caught a
+// non-integer p would fail here too.
+func TestLpIntegerPowMatchesPow(t *testing.T) {
+	pow := func(x int64, p float64) float64 {
+		if x < 0 {
+			x = -x
+		}
+		if x == 0 {
+			return 0
+		}
+		return math.Pow(float64(x), p)
+	}
+	src := rng.New(0x1ea7)
+	xs := []int64{0, 1, 2, 3}
+	for k := 1; k <= 62; k++ {
+		xs = append(xs, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for i := 0; i < 100000; i++ {
+		xs = append(xs, 1+src.Int63n(1<<62), int64(src.Uint64()>>(2+src.Intn(62)))+1)
+	}
+	for _, x := range xs[:len(xs):len(xs)] {
+		xs = append(xs, -x)
+	}
+	for _, p := range []float64{2, 3, 0.5, 2.5} {
+		l := Lp{P: p}
+		for _, x := range xs {
+			if got, want := l.G(x), pow(x, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("p=%v: G(%d) = %v (%#x), math.Pow gives %v (%#x)",
+					p, x, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if got, want := l.Increment(x), pow(x+1, p)-pow(x, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("p=%v: Increment(%d) = %v, math.Pow gives %v", p, x, got, want)
+			}
+		}
 	}
 }
 

@@ -77,11 +77,12 @@
 // A query takes the coordinator mutex, drains in-flight batches, wires
 // the m_j/m mixture over the drained worker pools as a snap.MergePlan
 // (snap.PoolPlan: per-shard stream masses plus one global ζ) and
-// materializes the plan's trial tables — one rejection trial per pool
-// instance the query may consume, coins flipped while the workers are
-// provably idle. Then it releases the mutex, takes a per-request split
-// of the coordinator's mixture RNG, and runs the draw
-// (MergePlan.DrawK) on the frozen tables — the same code the
+// materializes the plan's group tables — every pool instance the
+// query may consume flips its rejection coin while the workers are
+// provably idle, and each pool keeps only its first acceptance per
+// group, the one trial a draw can stop at. Then it releases the mutex,
+// takes a per-request split of the coordinator's mixture RNG, and runs
+// the draw (MergePlan.DrawK) on the frozen tables — the same code the
 // cross-machine merge (sample/snap, sample/serve's aggregator) runs.
 // Query traffic therefore does not serialize behind ingestion: the
 // producer contends only for the bounded drain-and-materialize window,
@@ -93,16 +94,17 @@
 // versions its routed stream (every Process/ProcessBatch bumps the
 // version) and caches the last plan it built, so queries arriving
 // while the version is unchanged skip both the drain barrier and the
-// O(k·P·T) trial materialization — a wider query than any before it
-// only materializes the missing groups, still under the mutex — and
-// pay only their own mixture draws. Each request still gets an
-// independent split of the mixture RNG, so every answer carries the
-// exact merged marginal law; queries against an unchanged coordinator
-// reuse the same frozen trial coins and are therefore correlated with
-// each other — the same contract the cross-machine merge layer has
-// always documented for repeated queries against unchanged nodes. Any
-// ingest invalidates the cache, and k mutually independent samples
-// within one request come from SampleK's disjoint groups.
+// O(k·P·T) coin flips of materialization — a wider query than any
+// before it only materializes the missing groups, still under the
+// mutex — and pay only their own mixture draws. Each request still
+// gets an independent split of the mixture RNG, so every answer
+// carries the exact merged marginal law; queries against an unchanged
+// coordinator reuse the same frozen trial coins and are therefore
+// correlated with each other — the same contract the cross-machine
+// merge layer has always documented for repeated queries against
+// unchanged nodes. Any ingest invalidates the cache, and k mutually
+// independent samples within one request come from SampleK's disjoint
+// groups.
 //
 // Ingesting into or querying a coordinator after Close (Process,
 // ProcessBatch, Sample, SampleK, Drain, BitsUsed) panics with a clear
@@ -111,7 +113,6 @@
 package shard
 
 import (
-	"math"
 	"runtime"
 	"sync"
 
@@ -354,19 +355,16 @@ func NewLp(p float64, n, m int64, delta float64, seed uint64, cfg Config) *Coord
 		return c
 	}
 	zeta := func(c *Coordinator) float64 {
-		var z float64
+		var z int64
 		for _, w := range c.workers {
-			zb := float64(w.mg.MaxUpperBound())
+			zb := w.mg.MaxUpperBound()
 			if c.cfg.Route == RouteRoundRobin {
 				z += zb // ‖f‖∞ ≤ Σ_j ‖f⁽ʲ⁾‖∞
 			} else if zb > z {
 				z = zb // ‖f‖∞ = max_j ‖f⁽ʲ⁾‖∞ under hash routing
 			}
 		}
-		if z < 1 {
-			z = 1
-		}
-		return p * math.Pow(z, p-1)
+		return measure.Lp{P: p}.Zeta(max(z, 1))
 	}
 	c := build(cfg, seed, measure.Lp{P: p}, trials, core.LpMGWidth(p, n), zeta)
 	c.spec = spec
@@ -595,7 +593,7 @@ func (c *Coordinator) SampleKLenShared(k int) ([]sample.Outcome, int, int64, boo
 // cache) a fresh one; then materialize its first k groups. The workers
 // are idle throughout — post-drain, or no update routed since the
 // plan's own drain — which is what lets the plan flip pool coins here
-// and lets the draw read its trial tables off-lock afterwards. src is
+// and lets the draw read its group tables off-lock afterwards. src is
 // the request's own split of the mixture RNG; a nil plan reports a
 // zero-length stream (⊥ answer, mixture RNG untouched). The deferred
 // unlock keeps the mutex releasable on the used-after-Close panic

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/f0"
 	"repro/internal/matrixsampler"
+	"repro/internal/measure"
 	"repro/internal/rng"
 	"repro/internal/stream"
 	"repro/sample"
@@ -48,7 +49,7 @@ var ErrRandOrderMergeUnsupported = errors.New(
 // time, so it does not ingest — Process and ProcessBatch panic.
 //
 // A Merged is a seeded view over a MergePlan: the plan holds
-// everything query-seed-independent (pools, masses, ζ, trial tables,
+// everything query-seed-independent (pools, masses, ζ, group tables,
 // state unions), the view holds the advancing mixture stream — and,
 // for the single-sampler kinds, its own restored sampler, so repeated
 // calls on one Merged advance it like any live sampler.
@@ -197,7 +198,7 @@ func buildFramework(states []sample.State) (*MergePlan, error) {
 	// is valid and data-independent.
 	var zeta float64
 	if spec.Kind == sample.KindLp && spec.P > 1 {
-		zeta = spec.P * math.Pow(float64(max(maxBound, 1)), spec.P-1)
+		zeta = measure.Lp{P: spec.P}.Zeta(max(maxBound, 1))
 	} else {
 		zeta = g.Zeta(max(total, 1))
 	}

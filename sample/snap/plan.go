@@ -25,7 +25,7 @@ const mergeSeedMix = 0x5eed5eed5eed5eed
 // BuildMergePlan, then answer any number of queries with SampleK/Draw,
 // each of which costs only fresh mixture draws (plus, for the
 // framework kinds, a one-time lazy materialization of each query
-// group's trial table).
+// group's first-acceptance table).
 //
 // Why caching preserves the law: the per-instance acceptance coins are
 // frozen inside the snapshotted pool states — a fresh MergeStates per
@@ -34,7 +34,7 @@ const mergeSeedMix = 0x5eed5eed5eed5eed
 // the mixture draw sequence, which SampleK still takes fresh from
 // qseed. Trials are independent of the draw sequence (each trial's
 // acceptance law depends only on the instance it lands on), so a plan
-// that materializes every group's trials once and re-runs only the
+// that flips every group's trial coins once and re-runs only the
 // mixture has exactly the per-query marginal law of a fresh merge.
 // Across queries the correlation contract is the library's usual one:
 // repeated queries against one plan replay correlated trials; k
@@ -58,14 +58,14 @@ type MergePlan struct {
 	lens    []int64
 
 	// Framework kinds: pools mixed by stream mass, plus the per-group
-	// trial tables Materialize fills from them.
+	// first-acceptance tables Materialize fills from them.
 	pools []*core.GSampler
 	mu    sync.Mutex
-	// groups[q] is group q's trial table, coins already flipped: pool
-	// j's T trials at [j·T, (j+1)·T). Entries are append-only under mu
-	// and immutable once built, so readers that obtained a prefix under
-	// mu may index it lock-free.
-	groups [][]core.Trial
+	// groups[q][j] is pool j's first accepted trial in group q, coins
+	// already flipped. Entries are append-only under mu and immutable
+	// once built, so readers that obtained a prefix under mu may index
+	// it lock-free.
+	groups [][]firstAccept
 
 	// Matrix kinds: decoded per-shard samplers whose instances each
 	// draw drives through Trial with its own coin stream.
@@ -212,7 +212,7 @@ func (p *MergePlan) Draw(qseed uint64) (sample.Outcome, bool) {
 //
 // A plan over pools that keep ingesting (PoolPlan) must have been
 // materialized to at least k groups while its pools were still idle:
-// DrawK then only reads the frozen trial tables.
+// DrawK then only reads the frozen first-acceptance tables.
 func (p *MergePlan) DrawK(src *rng.PCG, k int) ([]sample.Outcome, int) {
 	if k < 1 {
 		panic("snap: SampleK needs k ≥ 1")
@@ -240,7 +240,7 @@ func (p *MergePlan) DrawK(src *rng.PCG, k int) ([]sample.Outcome, int) {
 		}
 		return outs, k
 	}
-	groups := p.Materialize(k)
+	groups := p.materialize(k)
 	used := make([]int, p.shards)
 	outs := make([]sample.Outcome, 0, k)
 	for _, group := range groups {
@@ -271,27 +271,40 @@ func (p *MergePlan) sampleMatrix(src *rng.PCG) ([]sample.Outcome, int) {
 	return nil, 0
 }
 
-// Materialize flips the coins of groups [0, k) of every pool's trial
-// table, one [shard·T] buffer per group, and returns that stable
-// prefix. Groups are always filled in increasing order, so each pool's
-// coin consumption is a deterministic function of the pool states
-// alone — two plans built from equal states answer equal draws for
-// equal qseeds, which is what makes the aggregator's cached plan
-// bit-for-bit reproducible. A plan over live pools (PoolPlan) must be
-// materialized while they are idle; DrawK materializes on demand
-// otherwise.
-func (p *MergePlan) Materialize(k int) [][]core.Trial {
+// firstAccept is one pool's whole contribution to a query group: the
+// index of its first accepted trial (−1 when none accepted) and that
+// trial's outcome. mergeGroup stops at a pool's first acceptance, so
+// the trials after it can never reach an answer.
+type firstAccept struct {
+	at         int
+	item, freq int64
+}
+
+// Materialize flips the coins of groups [0, k) of every pool's trials
+// and keeps, per pool and group, only the first acceptance. Groups are
+// always filled in increasing order, so each pool's coin consumption
+// is a deterministic function of the pool states alone — two plans
+// built from equal states answer equal draws for equal qseeds, which
+// is what makes the aggregator's cached plan bit-for-bit reproducible.
+// A plan over live pools (PoolPlan) must be materialized while they
+// are idle; DrawK materializes on demand otherwise.
+func (p *MergePlan) Materialize(k int) { p.materialize(k) }
+
+// materialize is Materialize returning the stable, capacity-capped
+// prefix of k group tables.
+func (p *MergePlan) materialize(k int) [][]firstAccept {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if cap(p.groups) < k {
 		p.groups = slices.Grow(p.groups, k-len(p.groups))
 	}
 	for q := len(p.groups); q < k; q++ {
-		buf := make([]core.Trial, 0, len(p.pools)*p.budget)
-		for _, pool := range p.pools {
-			buf = pool.TrialsGroupAppend(buf, q, p.zeta)
+		group := make([]firstAccept, len(p.pools))
+		for j, pool := range p.pools {
+			at, out := pool.FirstAcceptance(q, p.zeta)
+			group[j] = firstAccept{at: at, item: out.Item, freq: out.AfterCount}
 		}
-		p.groups = append(p.groups, buf)
+		p.groups = append(p.groups, group)
 	}
 	return p.groups[:k:k]
 }
@@ -299,19 +312,20 @@ func (p *MergePlan) Materialize(k int) [][]core.Trial {
 // mergeGroup runs the m_j/m mixture over one group's materialized
 // trials: trial t consumes the next unused instance of a pool drawn
 // with probability m_j/m, and the first acceptance wins — exactly the
-// single-machine pool law (see the sample/shard package comment).
-// Trials are independent of the draw sequence, so the output law is
-// unchanged by the eager materialization. src and used are per-request
-// state, so concurrent draws share one plan.
-func (p *MergePlan) mergeGroup(src *rng.PCG, used []int, group []core.Trial) (sample.Outcome, bool) {
+// single-machine pool law (see the sample/shard package comment). The
+// trial it lands on accepts iff it is that pool's first acceptance,
+// since every earlier trial of the pool rejected. Trials are
+// independent of the draw sequence, so the output law is unchanged by
+// the eager materialization. src and used are per-request state, so
+// concurrent draws share one plan.
+func (p *MergePlan) mergeGroup(src *rng.PCG, used []int, group []firstAccept) (sample.Outcome, bool) {
 	clear(used)
 	for t := 0; t < p.budget; t++ {
 		j := drawSnapshot(src, p.lens, p.total)
-		tr := group[j*p.budget+used[j]]
-		used[j]++
-		if tr.OK {
-			return sample.Outcome{Item: tr.Out.Item, Freq: tr.Out.AfterCount}, true
+		if used[j] == group[j].at {
+			return sample.Outcome{Item: group[j].item, Freq: group[j].freq}, true
 		}
+		used[j]++
 	}
 	return sample.Outcome{}, false
 }

@@ -552,3 +552,153 @@ func TestClaimQueryAnswerGolden(t *testing.T) {
 		t.Fatalf("answer-stream digest %s, want %s", got, golden)
 	}
 }
+
+// Claim (plans over shared restored pools): pools restored once per
+// node state (snap.RestorePools) and shared by successive plans
+// (snap.PlanPools) answer exactly what a fresh snap.BuildMergePlan
+// answers for equal qseeds. Each plan flips its trials from copies of
+// the pools' PCG states, so no plan moves another's coins, even while
+// several plans materialize groups concurrently. End to end, an
+// aggregator over one churning and one frozen node, which restores only
+// the churning node's pools on each query, answers query by query what
+// BuildMergePlan over the states it fetched answers for the same qseed.
+func TestClaimQuerySharedPoolPlans(t *testing.T) {
+	const k = 8
+	gen := stream.NewGenerator(rng.New(91))
+	items := gen.Zipf(64, 6000, 1.2)
+	var states []sample.State
+	for j := 0; j < 2; j++ {
+		c := shard.NewLp(2, 64, 1<<16, 0.2, uint64(j)+11, shard.Config{Shards: 2, Queries: k})
+		for _, it := range items {
+			if int(it)%2 == j {
+				c.Process(it)
+			}
+		}
+		data, err := c.Snapshot()
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sts, err := shard.SamplerStates(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, sts...)
+	}
+	ref, err := snap.BuildMergePlan(states...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type draw struct {
+		outs []sample.Outcome
+		n    int
+	}
+	qseeds := make([]uint64, 19)
+	want := make([]draw, len(qseeds))
+	for i := range qseeds {
+		qseeds[i] = uint64(i)*0x9e3779b97f4a7c15 + 5
+		outs, n := ref.SampleK(qseeds[i], 1+i%k)
+		want[i] = draw{outs, n}
+	}
+	pools, err := snap.RestorePools(states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, what string, plan *snap.MergePlan) {
+		for i, q := range qseeds {
+			outs, n := plan.SampleK(q, 1+i%k)
+			if n != want[i].n || fmt.Sprint(outs) != fmt.Sprint(want[i].outs) {
+				t.Errorf("%s qseed %d: %v (%d), BuildMergePlan %v (%d)", what, i, outs, n, want[i].outs, want[i].n)
+				return
+			}
+		}
+	}
+	var prev *snap.MergePlan
+	for round := 0; round < 3; round++ {
+		plan, err := snap.PlanPools(pools...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Four drawers on the new plan and two on the previous one, all
+		// at once: the new plan materializes its groups while the old
+		// one draws, over the same pools.
+		done := make(chan struct{})
+		for g := 0; g < 6; g++ {
+			p, what := plan, fmt.Sprintf("plan %d", round)
+			if g >= 4 && prev != nil {
+				p, what = prev, fmt.Sprintf("plan %d", round-1)
+			}
+			go func() {
+				defer func() { done <- struct{}{} }()
+				check(t, what, p)
+			}()
+		}
+		for g := 0; g < 6; g++ {
+			<-done
+		}
+		prev = plan
+	}
+	if t.Failed() {
+		return
+	}
+
+	// The aggregator: node A churns (ingest and local queries) between
+	// global queries, node B stays frozen.
+	var urls []string
+	var nodes []*serve.Node
+	for j := 0; j < 2; j++ {
+		node := serve.NewNode(shard.NewLp(2, 64, 1<<16, 0.2, uint64(j)+21,
+			shard.Config{Shards: 2, Queries: k}), serve.NodeConfig{})
+		defer node.Close()
+		srv := httptest.NewServer(node.Handler())
+		defer srv.Close()
+		var part []int64
+		for _, it := range items {
+			if int(it)%2 == j {
+				part = append(part, it)
+			}
+		}
+		node.Coordinator().ProcessBatch(part)
+		nodes, urls = append(nodes, node), append(urls, srv.URL)
+	}
+	const seed = 404
+	agg := serve.NewAggregator(seed, urls...)
+	const queries = 12
+	for q := 1; q <= queries; q++ {
+		if q > 1 {
+			nodes[0].Coordinator().ProcessBatch(items[q*40 : q*40+40])
+			nodes[0].Coordinator().SampleK(k)
+		}
+		merged, _, err := agg.Merge()
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, n := merged.SampleK(k)
+		var fetched []sample.State
+		for _, u := range urls {
+			res, err := serve.NewClient(u).SnapshotSince("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sts, err := shard.SamplerStates(res.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetched = append(fetched, sts...)
+		}
+		plan, err := snap.BuildMergePlan(fetched...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOuts, wantN := plan.SampleK(seed+uint64(q)*0x9e3779b97f4a7c15, k)
+		if n != wantN || fmt.Sprint(outs) != fmt.Sprint(wantOuts) {
+			t.Fatalf("query %d: aggregator %v (%d), BuildMergePlan over its states %v (%d)",
+				q, outs, n, wantOuts, wantN)
+		}
+	}
+	c := agg.Counters()
+	if c.PlanRebuilds != queries || c.DeltaFetches != queries-1 || c.CacheHits != queries-1 {
+		t.Fatalf("counters %+v: want %d rebuilds, %d delta fetches (node A) and %d hits (node B)",
+			c, queries, queries-1, queries-1)
+	}
+}

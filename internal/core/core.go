@@ -314,7 +314,7 @@ func (s *GSampler) sampleGroup(q int, minPos int64, zeta float64) (Outcome, bool
 		if s.insts[i].pos < minPos {
 			continue
 		}
-		if out, ok := s.sampleInstance(i, zeta); ok {
+		if out, ok := s.sampleInstance(i, zeta, s.src); ok {
 			return out, true
 		}
 	}
@@ -332,7 +332,7 @@ func (s *GSampler) SampleAll() []Outcome {
 	zeta := s.zeta()
 	var out []Outcome
 	for i := range s.insts {
-		if o, ok := s.sampleInstance(i, zeta); ok {
+		if o, ok := s.sampleInstance(i, zeta, s.src); ok {
 			out = append(out, o)
 		}
 	}
@@ -343,8 +343,8 @@ func (s *GSampler) SampleAll() []Outcome {
 // instance of query group q, in pool order, normalized by the explicit
 // increment bound zeta, and returns the group index of the first
 // instance that accepted together with its outcome, or −1 when none
-// did. Every instance flips its coin even after the first acceptance,
-// so the pool's PCG advances exactly as if each trial were kept.
+// did. Every instance flips its coin from src even after the first
+// acceptance, so src advances exactly as if each trial were kept.
 //
 // The first acceptance is all a merged query can read from a group:
 // the m_j/m mixture (sample/snap's MergePlan, which also serves
@@ -356,11 +356,12 @@ func (s *GSampler) SampleAll() []Outcome {
 //
 // zeta overrides the pool's own normalizer: every pool in a merge must
 // be normalized by one shared global ζ, which must be a valid increment
-// bound for this pool's realized stream. Each call draws fresh
-// rejection coins; an empty stream returns −1 without flipping a single
-// coin, so the pool's PCG stream — which snapshots capture bit-for-bit
-// — does not advance.
-func (s *GSampler) FirstAcceptance(q int, zeta float64) (int, Outcome) {
+// bound for this pool's realized stream. src is the coin source: the
+// pool's own stream (Coins) for a live pool, whose snapshots capture
+// it, or a copy of it for a pool several plans share, which then reads
+// the pool and never writes it. An empty stream returns −1 without
+// flipping a single coin.
+func (s *GSampler) FirstAcceptance(q int, zeta float64, src *rng.PCG) (int, Outcome) {
 	if q < 0 || q >= s.Queries() {
 		panic("core: FirstAcceptance group index out of range")
 	}
@@ -370,12 +371,16 @@ func (s *GSampler) FirstAcceptance(q int, zeta float64) (int, Outcome) {
 	}
 	base := q * s.groupSize
 	for i := 0; i < s.groupSize; i++ {
-		if o, ok := s.sampleInstance(base+i, zeta); ok && at < 0 {
+		if o, ok := s.sampleInstance(base+i, zeta, src); ok && at < 0 {
 			at, first = i, o
 		}
 	}
 	return at, first
 }
+
+// Coins returns the pool's own coin stream: the PCG every query's
+// rejection step draws from, captured bit for bit by ExportState.
+func (s *GSampler) Coins() *rng.PCG { return s.src }
 
 func (s *GSampler) zeta() float64 {
 	if s.zetaFn != nil {
@@ -384,7 +389,7 @@ func (s *GSampler) zeta() float64 {
 	return s.m.Zeta(s.t)
 }
 
-func (s *GSampler) sampleInstance(i int, zeta float64) (Outcome, bool) {
+func (s *GSampler) sampleInstance(i int, zeta float64, src *rng.PCG) (Outcome, bool) {
 	inst := &s.insts[i]
 	if inst.pos == 0 {
 		return Outcome{}, false
@@ -395,7 +400,7 @@ func (s *GSampler) sampleInstance(i int, zeta float64) (Outcome, bool) {
 		panic(fmt.Sprintf("core: invalid zeta %v < increment %v at c=%d",
 			zeta, s.m.Increment(c), c))
 	}
-	if !s.src.Bernoulli(acc) {
+	if !src.Bernoulli(acc) {
 		return Outcome{}, false
 	}
 	return Outcome{Item: inst.item, AfterCount: c, Position: inst.pos}, true

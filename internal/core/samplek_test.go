@@ -105,7 +105,7 @@ func TestSampleKGroupAccounting(t *testing.T) {
 	}
 	// FirstAcceptance reports an index inside one group, and an
 	// out-of-range group panics.
-	if at, _ := s.FirstAcceptance(3, 1); at < -1 || at >= 6 {
+	if at, _ := s.FirstAcceptance(3, 1, s.Coins()); at < -1 || at >= 6 {
 		t.Fatalf("FirstAcceptance index = %d, want in [-1, 6)", at)
 	}
 	defer func() {
@@ -113,7 +113,7 @@ func TestSampleKGroupAccounting(t *testing.T) {
 			t.Fatal("FirstAcceptance group 4 did not panic")
 		}
 	}()
-	s.FirstAcceptance(4, 1)
+	s.FirstAcceptance(4, 1, s.Coins())
 }
 
 // fullTrialLoop is the reference FirstAcceptance replaced: it runs
@@ -126,7 +126,7 @@ func fullTrialLoop(s *GSampler, q int, zeta float64) (oks []bool, outs []Outcome
 	}
 	base := q * s.groupSize
 	for i := 0; i < s.groupSize; i++ {
-		o, ok := s.sampleInstance(base+i, zeta)
+		o, ok := s.sampleInstance(base+i, zeta, s.src)
 		oks, outs = append(oks, ok), append(outs, o)
 	}
 	return oks, outs
@@ -153,7 +153,7 @@ func TestFirstAcceptanceMatchesFullLoop(t *testing.T) {
 			for _, scale := range []float64{1, 4, 1e9} {
 				for q := 0; q < 3; q++ {
 					oks, outs := fullTrialLoop(ref, q, base*scale)
-					at, out := got.FirstAcceptance(q, base*scale)
+					at, out := got.FirstAcceptance(q, base*scale, got.Coins())
 					want := slices.Index(oks, true)
 					if at != want {
 						t.Fatalf("%s seed %d ζ×%g group %d: index %d, full loop %d",

@@ -31,19 +31,27 @@ import (
 //     snap.Name each node advertises: a query revalidates with
 //     ?since=/If-None-Match instead of refetching, so an unchanged node
 //     costs one header round-trip (304, a cache hit), a changed
-//     delta-capable node costs only its v2 delta (folded onto the
-//     cached bytes and verified against the advertised name), and only
-//     a node the cache cannot cover costs a full fetch.
+//     delta-capable node costs only its v2 delta, and only a node the
+//     cache cannot cover costs a full fetch. A coordinator node's
+//     entry is its decoded cut: a delta folds onto a copy of it,
+//     passes the decoder's structural checks and is verified against
+//     the advertised name. Each entry also holds the node's pools,
+//     restored once per state name (snap.RestorePools) when the fetch
+//     installs it.
 //   - A *merge-plan cache* (DESIGN.md §9), keyed by the fingerprint of
 //     every node's advertised state name: while no node's state moves,
-//     queries reuse the prepared snap.MergePlan — decoded pools,
-//     mixture masses, the global ζ — and pay only their own mixture
-//     draws instead of re-running the full merge. The plan cache is
-//     exactly lawful because the trial coins are frozen in the
-//     snapshot bytes the fingerprint covers: a rebuilt plan from the
-//     same names replays the same trials, so reuse changes nothing but
-//     CPU time (see snap.MergePlan). Any node whose state name moves
-//     invalidates the plan on the next query.
+//     queries reuse the prepared snap.MergePlan — pools, mixture
+//     masses, the global ζ — and pay only their own mixture draws
+//     instead of re-running the full merge. The plan cache is exactly
+//     lawful because the trial coins are frozen in the snapshot bytes
+//     the fingerprint covers: a rebuilt plan from the same names
+//     replays the same trials, so reuse changes nothing but CPU time
+//     (see snap.MergePlan). Any node whose state name moves
+//     invalidates the plan on the next query, and the rebuild wires
+//     the mixture over every node's cached pools (snap.PlanPools),
+//     each plan flipping coins from its own copies of the pools' PCG
+//     states, so the unchanged nodes' pools are shared, not restored
+//     again.
 //
 // Counters/GET /debug/vars expose the hit and transfer counters that
 // quantify both trades, and GET /metrics serves the full registry
@@ -104,18 +112,31 @@ type AggregatorConfig struct {
 	QueryTimeout time.Duration
 }
 
-// nodeCache is one node's cached snapshot: the advertised state name,
-// the full v1 bytes (the base the next delta folds onto), and the
-// exploded per-shard states handed to the merge. mu guards the fields
-// and the singleflight slot only — never a network round-trip; the
-// fetch itself runs in refreshNode with the lock released, so a slow
-// node serializes nothing but its own refresh.
+// nodeCache is one node's cached snapshot: the advertised state name
+// and the nodeCut installed under it. mu guards the fields and the
+// singleflight slot only — never a network round-trip; the fetch
+// itself runs in refreshNode with the lock released, so a slow node
+// serializes nothing but its own refresh.
 type nodeCache struct {
 	mu       sync.Mutex
 	name     string
-	raw      []byte
-	states   []sample.State
+	cut      *nodeCut
 	inflight *refreshCall
+}
+
+// nodeCut is one node state as the aggregator keeps it, immutable once
+// installed. The base the next delta folds onto is the decoded cut for
+// a coordinator node (coord) and the full v1 bytes for a bare-sampler
+// node (raw). states are the per-shard sampler states the merge reads,
+// sharing coord's memory; pools are those states restored once, with
+// sample.FromState's validation, and shared by every plan built while
+// the node's state name holds (nil for kinds that merge only through
+// snap.BuildMergePlan).
+type nodeCut struct {
+	coord  *shard.CoordinatorState
+	raw    []byte
+	states []sample.State
+	pools  []*snap.Pool
 }
 
 // refreshCall is one in-flight node refresh, shared by every query
@@ -123,10 +144,10 @@ type nodeCache struct {
 // written once, before done is closed; waiters read them only after
 // <-done, which is the happens-before edge.
 type refreshCall struct {
-	done   chan struct{}
-	states []sample.State
-	name   string
-	err    error
+	done chan struct{}
+	cut  *nodeCut
+	name string
+	err  error
 }
 
 // NewAggregator builds an aggregator over the given node base URLs.
@@ -355,9 +376,9 @@ func (a *Aggregator) queryPlan(ctx context.Context) (*snap.MergePlan, int, error
 		defer cancel()
 	}
 	type fetched struct {
-		states []sample.State
-		name   string
-		err    error
+		cut  *nodeCut
+		name string
+		err  error
 	}
 	results := make([]fetched, len(a.clients))
 	var wg sync.WaitGroup
@@ -365,18 +386,22 @@ func (a *Aggregator) queryPlan(ctx context.Context) (*snap.MergePlan, int, error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			states, name, err := a.nodeStates(ctx, i)
-			results[i] = fetched{states: states, name: name, err: err}
+			cut, name, err := a.nodeStates(ctx, i)
+			results[i] = fetched{cut: cut, name: name, err: err}
 		}()
 	}
 	wg.Wait()
 	var states []sample.State
+	var pools []*snap.Pool
+	restored := true
 	var key strings.Builder
 	for _, res := range results {
 		if res.err != nil {
 			return nil, 0, res.err
 		}
-		states = append(states, res.states...)
+		states = append(states, res.cut.states...)
+		pools = append(pools, res.cut.pools...)
+		restored = restored && res.cut.pools != nil
 		// State names are hex (content-addressed snap.Name), so \x00 is
 		// an unambiguous joiner.
 		key.WriteString(res.name)
@@ -390,7 +415,15 @@ func (a *Aggregator) queryPlan(ctx context.Context) (*snap.MergePlan, int, error
 		return a.plan, a.planPools, nil
 	}
 	tMerge := time.Now()
-	plan, err := snap.BuildMergePlan(states...)
+	var plan *snap.MergePlan
+	var err error
+	if restored {
+		// Every node's pools were restored when its state was
+		// installed: the plan only wires the mixture over them.
+		plan, err = snap.PlanPools(pools...)
+	} else {
+		plan, err = snap.BuildMergePlan(states...)
+	}
 	a.met.mergeTime.ObserveSince(tMerge)
 	if err != nil {
 		return nil, 0, &mergeRefusedError{err}
@@ -400,15 +433,15 @@ func (a *Aggregator) queryPlan(ctx context.Context) (*snap.MergePlan, int, error
 	return plan, len(states), nil
 }
 
-// nodeStates returns node i's current per-shard sampler states and
-// advertised state name, serving from and refreshing its cache.
+// nodeStates returns node i's current cut and advertised state name,
+// serving from and refreshing its cache.
 // Concurrent callers share one in-flight refresh per node; the lock is
 // never held across the network. Errors come back pre-classified:
 // composition problems (refusals, undecodable or unfoldable snapshots)
 // wrapped in mergeRefusedError, everything else as unreachability —
 // including this caller's own context expiring while the shared fetch
 // is still out.
-func (a *Aggregator) nodeStates(ctx context.Context, i int) ([]sample.State, string, error) {
+func (a *Aggregator) nodeStates(ctx context.Context, i int) (*nodeCut, string, error) {
 	c := a.caches[i]
 	c.mu.Lock()
 	call := c.inflight
@@ -430,7 +463,7 @@ func (a *Aggregator) nodeStates(ctx context.Context, i int) ([]sample.State, str
 	c.mu.Unlock()
 	select {
 	case <-call.done:
-		return call.states, call.name, call.err
+		return call.cut, call.name, call.err
 	case <-ctx.Done():
 		return nil, "", &nodeFetchError{URL: a.urls[i], what: "unreachable", err: ctx.Err()}
 	}
@@ -445,100 +478,138 @@ func (a *Aggregator) refreshNode(ctx context.Context, cancel context.CancelFunc,
 		defer cancel()
 	}
 	t0 := time.Now()
-	states, name, err := a.refresh(ctx, i, c)
+	cut, name, err := a.refresh(ctx, i, c)
 	a.met.fetchLatency(a.urls[i]).ObserveSince(t0)
 	if err != nil {
 		a.met.fetchErrors(a.urls[i]).Inc()
 	}
-	call.states, call.name, call.err = states, name, err
+	call.cut, call.name, call.err = cut, name, err
 	c.mu.Lock()
 	c.inflight = nil
 	c.mu.Unlock()
 	close(call.done)
 }
 
-// refresh revalidates node i's cache: 304 serves the cached states, a
-// delta folds onto the cached bytes (verified against the advertised
+// refresh revalidates node i's cache: 304 serves the cached cut, a
+// delta folds onto the cached base (verified against the advertised
 // name — any mismatch degrades to one full fetch, never to wrong
 // state), anything else installs a full snapshot. Exactly one refresh
 // per node runs at a time (the singleflight slot), so the brief
 // c.mu sections only fence the fields against concurrent readers.
-func (a *Aggregator) refresh(ctx context.Context, i int, c *nodeCache) ([]sample.State, string, error) {
+func (a *Aggregator) refresh(ctx context.Context, i int, c *nodeCache) (*nodeCut, string, error) {
 	c.mu.Lock()
-	since, raw, states := c.name, c.raw, c.states
+	since, cached := c.name, c.cut
 	c.mu.Unlock()
 	res, err := a.clients[i].SnapshotSinceContext(ctx, since)
 	if err != nil {
 		return nil, "", a.classify(i, err)
 	}
 	if res.NotModified {
-		if states == nil {
+		if cached == nil {
 			// A 304 against an empty cache (e.g. the peer echoing a
 			// stale validator) cannot be served; refetch whole.
 			return a.fetchFull(ctx, i, c)
 		}
 		a.met.hits.Inc()
-		return states, since, nil
+		return cached, since, nil
 	}
 	a.met.bytesFetch.Add(int64(len(res.Data)))
-	full := res.Data
-	if res.Base != "" {
-		if res.Base != since || raw == nil {
-			return a.fetchFull(ctx, i, c)
-		}
-		resolved, err := applyAnyDelta(raw, res.Data)
-		if err != nil || (res.Name != "" && snap.Name(resolved) != res.Name) {
-			return a.fetchFull(ctx, i, c)
-		}
-		a.met.deltas.Inc()
-		full = resolved
-	} else {
+	if res.Base == "" {
 		a.met.fulls.Inc()
+		return a.installFull(i, c, res.Data, res.Name)
 	}
-	return a.install(i, c, full, res.Name)
+	if res.Base != since || cached == nil {
+		return a.fetchFull(ctx, i, c)
+	}
+	next, name, err := fold(cached, since, res.Data)
+	if err != nil || (res.Name != "" && name != res.Name) {
+		return a.fetchFull(ctx, i, c)
+	}
+	a.met.deltas.Inc()
+	return a.install(i, c, next, name)
+}
+
+// fold applies a fetched v2 delta to the cached cut named since and
+// returns the successor with the state name of its v1 bytes. A
+// coordinator's delta folds onto a copy of the decoded base, which
+// stays intact whatever the delta holds, and the result passes the
+// decoder's structural checks before it is encoded and named.
+func fold(cached *nodeCut, since string, delta []byte) (nodeCut, string, error) {
+	if cached.coord == nil {
+		full, err := applyAnyDelta(cached.raw, delta)
+		if err != nil {
+			return nodeCut{}, "", err
+		}
+		return nodeCut{raw: full}, snap.Name(full), nil
+	}
+	coord, err := cached.coord.Apply(delta, since)
+	if err != nil {
+		return nodeCut{}, "", err
+	}
+	return nodeCut{coord: coord}, snap.Name(coord.Encode()), nil
 }
 
 // fetchFull unconditionally fetches node i's full snapshot and
 // installs it in the cache.
-func (a *Aggregator) fetchFull(ctx context.Context, i int, c *nodeCache) ([]sample.State, string, error) {
+func (a *Aggregator) fetchFull(ctx context.Context, i int, c *nodeCache) (*nodeCut, string, error) {
 	res, err := a.clients[i].SnapshotSinceContext(ctx, "")
 	if err != nil {
 		return nil, "", a.classify(i, err)
 	}
 	a.met.bytesFetch.Add(int64(len(res.Data)))
 	a.met.fulls.Inc()
-	return a.install(i, c, res.Data, res.Name)
+	return a.installFull(i, c, res.Data, res.Name)
 }
 
-// install decodes a full snapshot into per-shard states and commits it
-// to node i's cache.
-func (a *Aggregator) install(i int, c *nodeCache, full []byte, name string) ([]sample.State, string, error) {
-	states, err := explodeStates(full)
-	if err != nil {
-		return nil, "", &mergeRefusedError{&nodeFetchError{URL: a.urls[i], what: "snapshot", err: err}}
-	}
+// installFull decodes a full snapshot of either flavor and installs it:
+// a coordinator's as its decoded cut, a bare sampler's as its bytes.
+func (a *Aggregator) installFull(i int, c *nodeCache, full []byte, name string) (*nodeCut, string, error) {
 	if name == "" {
 		name = snap.Name(full)
 	}
-	c.mu.Lock()
-	c.name, c.raw, c.states = name, full, states
-	c.mu.Unlock()
-	return states, name, nil
+	var cut nodeCut
+	if shard.IsCoordinatorSnapshot(full) {
+		var err error
+		if cut.coord, err = shard.DecodeCoordinator(full); err != nil {
+			return nil, "", a.refused(i, err)
+		}
+	} else {
+		cut.raw = full
+	}
+	return a.install(i, c, cut, name)
 }
 
-// explodeStates turns snapshot bytes of either flavor into the
-// per-shard sampler states the mixture runs over.
-func explodeStates(data []byte) ([]sample.State, error) {
-	if shard.IsCoordinatorSnapshot(data) {
-		return shard.SamplerStates(data)
+// install explodes a node state into its per-shard states, restores
+// their pools, and commits the cut to node i's cache. The restore runs
+// here, once per state name, so a plan rebuild for another node's move
+// reuses this node's pools.
+func (a *Aggregator) install(i int, c *nodeCache, cut nodeCut, name string) (*nodeCut, string, error) {
+	var err error
+	if cut.coord != nil {
+		cut.states, err = cut.coord.SamplerStates()
+	} else {
+		// A bare sampler snapshot (a node serving sample/snap bytes
+		// without a coordinator) joins the mixture as a single pool.
+		var st sample.State
+		st, err = snap.Decode(cut.raw)
+		cut.states = []sample.State{st}
 	}
-	// A bare sampler snapshot (a node serving sample/snap bytes
-	// without a coordinator) joins the mixture as a single pool.
-	st, err := snap.Decode(data)
+	if err == nil {
+		cut.pools, err = snap.RestorePools(cut.states)
+	}
 	if err != nil {
-		return nil, err
+		return nil, "", a.refused(i, err)
 	}
-	return []sample.State{st}, nil
+	c.mu.Lock()
+	c.name, c.cut = name, &cut
+	c.mu.Unlock()
+	return &cut, name, nil
+}
+
+// refused classifies a snapshot node i served that does not decode or
+// restore as a composition refusal naming the node.
+func (a *Aggregator) refused(i int, err error) error {
+	return &mergeRefusedError{&nodeFetchError{URL: a.urls[i], what: "snapshot", err: err}}
 }
 
 // classify maps a fetch error for node i onto the aggregator's

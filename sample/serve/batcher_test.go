@@ -275,11 +275,11 @@ func TestGroupedIngestMatchesSequential(t *testing.T) {
 			if !strings.Contains(text, "tp_coalesce_batch_items_count 1\n") {
 				t.Fatalf("want all %d requests in one flush; exposition:\n%s", len(reqs), text)
 			}
-			got, err := grouped.eng.Snapshot()
+			_, got, err := grouped.eng.Cut()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := twin.eng.Snapshot()
+			_, want, err := twin.eng.Cut()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,19 +8,39 @@ package serve
 // aggregator already does for full snapshots via IsCoordinatorSnapshot.
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/sample/shard"
 	"repro/sample/snap"
 )
 
-// encodeAnyDelta computes the v2 delta turning full snapshot base into
-// full snapshot cur, whichever codec owns the kind.
-func encodeAnyDelta(base, cur []byte) ([]byte, error) {
-	if shard.IsCoordinatorSnapshot(cur) {
-		return shard.EncodeCoordinatorDelta(base, cur)
+// encodeAnyDelta computes the v2 delta turning the remembered state
+// base into the full snapshot cur, whichever codec owns the kind. A
+// coordinator diffs decoded states: base.state and curState (nil when
+// the caller holds only cur's bytes) are decoded only when missing, and
+// the delta records base.name instead of hashing base.data again. It
+// also returns cur's decoded state, for the caller to remember as a
+// future base (nil for a bare sampler).
+func encodeAnyDelta(base servedBase, cur []byte, curState *shard.CoordinatorState) ([]byte, *shard.CoordinatorState, error) {
+	if curState == nil && !shard.IsCoordinatorSnapshot(cur) {
+		d, err := snap.EncodeDelta(base.data, cur)
+		return d, nil, err
 	}
-	return snap.EncodeDelta(base, cur)
+	var err error
+	if curState == nil {
+		if curState, err = shard.DecodeCoordinator(cur); err != nil {
+			return nil, nil, fmt.Errorf("shard: delta target: %w", err)
+		}
+	}
+	b := base.state
+	if b == nil {
+		if b, err = shard.DecodeCoordinator(base.data); err != nil {
+			return nil, curState, fmt.Errorf("shard: delta base: %w", err)
+		}
+	}
+	d, err := curState.Delta(b, base.name)
+	return d, curState, err
 }
 
 // applyAnyDelta folds one v2 delta onto its base full snapshot,

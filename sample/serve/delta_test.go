@@ -290,3 +290,63 @@ func TestAggregatorSnapshotCache(t *testing.T) {
 		t.Fatalf("delta fetch transferred %d bytes against %d cold", c.BytesFetched-bytesAfterCold, bytesAfterCold)
 	}
 }
+
+// TestSnapshotSinceOldestBase: a ?since= request naming the oldest
+// state in a full base ring still gets a delta. The node looks the base
+// up before it remembers the new cut; remembering first would evict
+// the very base the caller named and answer with the full snapshot.
+// The decoded base the node keeps is dropped by the newer cuts, so the
+// diff also runs from bytes.
+func TestSnapshotSinceOldestBase(t *testing.T) {
+	n := NewNode(newTestCoordinator(21), NodeConfig{})
+	defer n.Close()
+	srv := httptest.NewServer(n.Handler())
+	defer srv.Close()
+	cl := NewClient(srv.URL)
+
+	n.Coordinator().ProcessBatch([]int64{1, 2, 3, 4})
+	oldest, err := cl.SnapshotSince("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := oldest.Name
+	// Fill the ring: each ?since= fetch remembers a newer cut, the last
+	// with its decoded form.
+	for i := 1; i < snapshotBaseHistory; i++ {
+		n.Coordinator().Process(int64(10 + i))
+		res, err := cl.SnapshotSince(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev = res.Name
+	}
+	n.basesMu.Lock()
+	ring, decoded := len(n.bases), 0
+	for _, b := range n.bases {
+		if b.state != nil {
+			decoded++
+		}
+	}
+	head := n.bases[0].name
+	n.basesMu.Unlock()
+	if ring != snapshotBaseHistory || head != oldest.Name || decoded != 1 {
+		t.Fatalf("ring holds %d entries (%d decoded), oldest %q; want %d (1 decoded), oldest %q",
+			ring, decoded, head, snapshotBaseHistory, oldest.Name)
+	}
+
+	n.Coordinator().Process(99)
+	d, err := cl.SnapshotSince(oldest.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.NotModified || d.Base != oldest.Name {
+		t.Fatalf("since=oldest ring base came back full: base %q, %d bytes", d.Base, len(d.Data))
+	}
+	full, err := applyAnyDelta(oldest.Data, d.Data)
+	if err != nil {
+		t.Fatalf("applying the served delta: %v", err)
+	}
+	if snap.Name(full) != d.Name {
+		t.Fatalf("folded delta yields %q, node advertised %q", snap.Name(full), d.Name)
+	}
+}

@@ -28,13 +28,15 @@ import (
 // built against.
 // SampleKLenShared's bool reports whether the answer reused a shared
 // query snapshot (the coordinator's version-stamped cache) — engines
-// without one always report false. Epoch is the state epoch the
-// node's cut cache keys on (see Node.cut): it moves with every call
-// that can change Snapshot's bytes — ingest and queries alike.
+// without one always report false. Cut returns the snapshot's v1
+// bytes with, for a coordinator, the decoded state they encode (nil
+// for a bare sampler). Epoch is the state epoch the node's cut cache
+// keys on (see Node.cut): it moves with every call that can change
+// Cut's bytes — ingest and queries alike.
 type engine interface {
 	ProcessBatch(items []int64, ends []int) []error
 	SampleKLenShared(k int) ([]sample.Outcome, int, int64, bool)
-	Snapshot() ([]byte, error)
+	Cut() (*shard.CoordinatorState, []byte, error)
 	Epoch() uint64
 	StreamLen() int64
 	BitsUsed() int64
@@ -60,24 +62,26 @@ func (e coordEngine) ProcessBatch(items []int64, _ []int) []error {
 func (e coordEngine) SampleKLenShared(k int) ([]sample.Outcome, int, int64, bool) {
 	return e.c.SampleKLenShared(k)
 }
-func (e coordEngine) Snapshot() ([]byte, error) { return e.c.Snapshot() }
-func (e coordEngine) Epoch() uint64             { return e.c.Epoch() }
-func (e coordEngine) StreamLen() int64          { return e.c.StreamLen() }
-func (e coordEngine) BitsUsed() int64           { return e.c.BitsUsed() }
-func (e coordEngine) Describe() string          { return e.c.Describe() }
-func (e coordEngine) Shards() int               { return e.c.Shards() }
-func (e coordEngine) Trials() int               { return e.c.Trials() }
-func (e coordEngine) Queries() int              { return e.c.Queries() }
-func (e coordEngine) Close()                    { e.c.Close() }
+func (e coordEngine) Cut() (*shard.CoordinatorState, []byte, error) {
+	return e.c.Cut()
+}
+func (e coordEngine) Epoch() uint64    { return e.c.Epoch() }
+func (e coordEngine) StreamLen() int64 { return e.c.StreamLen() }
+func (e coordEngine) BitsUsed() int64  { return e.c.BitsUsed() }
+func (e coordEngine) Describe() string { return e.c.Describe() }
+func (e coordEngine) Shards() int      { return e.c.Shards() }
+func (e coordEngine) Trials() int      { return e.c.Trials() }
+func (e coordEngine) Queries() int     { return e.c.Queries() }
+func (e coordEngine) Close()           { e.c.Close() }
 
 // samplerEngine serves one bare sample.Sampler under a single mutex:
 // samplers are not goroutine-safe, and even queries mutate (they
 // consume randomness). That cost is fine — the single-stream kinds
 // this shape exists for are cheap per update, and their checkpoint is
 // snap.Snapshot of the one sampler, which the aggregator already
-// merges as a single-state pool (explodeStates). epoch is the engine's
-// state epoch, bumped under mu by every ProcessBatch (a rejected
-// segment may have ingested a prefix) and every query.
+// merges as a single-state pool (Aggregator.install). epoch is the
+// engine's state epoch, bumped under mu by every ProcessBatch (a
+// rejected segment may have ingested a prefix) and every query.
 type samplerEngine struct {
 	mu       sync.Mutex
 	s        sample.Sampler
@@ -173,10 +177,11 @@ func (e *samplerEngine) SampleKLenShared(k int) ([]sample.Outcome, int, int64, b
 	return outs, n, e.s.StreamLen(), false
 }
 
-func (e *samplerEngine) Snapshot() ([]byte, error) {
+func (e *samplerEngine) Cut() (*shard.CoordinatorState, []byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return snap.Snapshot(e.s)
+	data, err := snap.Snapshot(e.s)
+	return nil, data, err
 }
 
 func (e *samplerEngine) Epoch() uint64 {

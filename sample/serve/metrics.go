@@ -237,7 +237,7 @@ func newAggMetrics(reg *obs.Registry) *aggMetrics {
 		reg:        reg,
 		queries:    reg.Counter("tp_agg_queries_total", "Global sample queries answered."),
 		queryErrs:  reg.Counter("tp_agg_query_errors_total", "Global sample queries that failed (fetch or merge)."),
-		mergeTime:  reg.Histogram("tp_agg_merge_seconds", "snap.BuildMergePlan over the fleet's exploded states (plan rebuilds only).", nil),
+		mergeTime:  reg.Histogram("tp_agg_merge_seconds", "Plan rebuilds only: the mixture over the nodes' restored pools (snap.PlanPools), or snap.BuildMergePlan for kinds outside the framework. Pool restore is timed in the changed node's fetch.", nil),
 		hits:       reg.Counter("tp_agg_cache_hits_total", "Node revalidations answered 304 from the snapshot cache."),
 		deltas:     reg.Counter("tp_agg_delta_fetches_total", "Node fetches served as a v2 delta folded onto the cache."),
 		fulls:      reg.Counter("tp_agg_full_fetches_total", "Node fetches that transferred a full snapshot."),
@@ -253,7 +253,7 @@ func newAggMetrics(reg *obs.Registry) *aggMetrics {
 // series per node URL under a single family, so a dashboard can
 // attribute fan-out latency to the node that caused it.
 func (m *aggMetrics) fetchLatency(url string) *obs.Histogram {
-	return m.reg.Histogram("tp_agg_fetch_seconds", "Per-node snapshot fetch (revalidate, delta, or full).", nil,
+	return m.reg.Histogram("tp_agg_fetch_seconds", "Per-node snapshot fetch (revalidate, delta, or full), including a changed node's delta fold and pool restore.", nil,
 		obs.Label{Key: "node", Value: url})
 }
 

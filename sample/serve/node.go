@@ -389,7 +389,7 @@ func Restore(store SnapshotStore, cfg NodeConfig) (*Node, []SkippedCheckpoint, e
 		n.lastContent = snap.Name(state)
 		n.lastBytes = state
 		n.chain = chain
-		n.rememberBase(n.lastContent, state)
+		n.rememberBase(n.lastContent, state, nil)
 		n.start()
 		return n
 	}
@@ -597,17 +597,19 @@ func (n *Node) StreamLen() int64 { return n.eng.StreamLen() }
 // chain back), so a slowly-churning node also pays only O(change)
 // bytes per interval.
 func (n *Node) Checkpoint() (string, error) {
-	return n.checkpoint(func() (data []byte, name string, err error) {
+	return n.checkpoint(func() (data []byte, name string, state *shard.CoordinatorState, err error) {
 		err = n.locked(func() error {
-			data, name, err = n.cut()
+			data, name, state, err = n.cut()
 			return err
 		})
-		return data, name, err
+		return data, name, state, err
 	}, false)
 }
 
-// cut returns the engine's current snapshot bytes and their
-// content-addressed state name. It is the one cut path: GET /snapshot,
+// cut returns the engine's current snapshot bytes, their
+// content-addressed state name and, on a fresh coordinator cut, the
+// decoded state (nil on a cache hit: the cache keeps bytes only, so an
+// idle node holds no decoded copy). It is the one cut path: GET /snapshot,
 // Checkpoint and Close's final checkpoint all call it. The last cut is
 // cached under the engine's state epoch, which every ingest and every
 // query bumps, so while the engine is untouched a cut costs an integer
@@ -617,21 +619,21 @@ func (n *Node) Checkpoint() (string, error) {
 // caller one miss, never a stale hit. The cached bytes are shared and
 // must not be modified. Callers hold the node read lock (locked),
 // except Close's final cut, which runs after handlers are refused.
-func (n *Node) cut() ([]byte, string, error) {
+func (n *Node) cut() ([]byte, string, *shard.CoordinatorState, error) {
 	n.cutMu.Lock()
 	defer n.cutMu.Unlock()
 	epoch := n.eng.Epoch()
 	if n.cutData != nil && n.cutEpoch == epoch {
 		n.met.snapshotCut(true)
-		return n.cutData, n.cutName, nil
+		return n.cutData, n.cutName, nil, nil
 	}
 	n.met.snapshotCut(false)
-	data, err := n.eng.Snapshot()
+	state, data, err := n.eng.Cut()
 	if err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
 	n.cutEpoch, n.cutData, n.cutName = epoch, data, snap.Name(data)
-	return data, n.cutName, nil
+	return data, n.cutName, state, nil
 }
 
 // checkpoint cuts via cut and writes the result to the store. Only the
@@ -641,7 +643,7 @@ func (n *Node) cut() ([]byte, string, error) {
 // not hold the node lock and thereby block Close. final forces a full
 // snapshot regardless of cadence: the shutdown checkpoint must restore
 // without older files.
-func (n *Node) checkpoint(cut func() ([]byte, string, error), final bool) (string, error) {
+func (n *Node) checkpoint(cut func() ([]byte, string, *shard.CoordinatorState, error), final bool) (string, error) {
 	if n.cfg.Store == nil {
 		return "", errors.New("serve: node has no snapshot store")
 	}
@@ -651,7 +653,7 @@ func (n *Node) checkpoint(cut func() ([]byte, string, error), final bool) (strin
 	// holds ckptMu — but writes also take statsMu so /stats (which holds
 	// only statsMu) never waits behind a store write.
 	tCut := time.Now()
-	data, content, err := cut()
+	data, content, state, err := cut()
 	n.met.checkpointCut(time.Since(tCut))
 	if err == nil {
 		if content == n.lastContent && n.lastName != "" {
@@ -674,7 +676,7 @@ func (n *Node) checkpoint(cut func() ([]byte, string, error), final bool) (strin
 		blob, isDelta := data, false
 		if !final && n.lastBytes != nil && n.chain+1 < n.cfg.fullEvery() {
 			tDiff := time.Now()
-			d, derr := encodeAnyDelta(n.lastBytes, data)
+			d, _, derr := encodeAnyDelta(servedBase{name: n.lastContent, data: n.lastBytes}, data, state)
 			n.met.checkpointDiff(time.Since(tDiff))
 			if derr == nil && len(d) < len(data) {
 				blob, isDelta = d, true
@@ -691,7 +693,7 @@ func (n *Node) checkpoint(cut func() ([]byte, string, error), final bool) (strin
 			} else {
 				n.chain = 0
 			}
-			n.rememberBase(content, data)
+			n.rememberBase(content, data, nil)
 			n.setStats(func() {
 				n.ckpts++
 				if isDelta {
@@ -711,39 +713,56 @@ func (n *Node) checkpoint(cut func() ([]byte, string, error), final bool) (strin
 
 // servedBase is one remembered full-snapshot state: a base the node
 // can diff the current state against when a /snapshot?since= asks.
+// state is its decoded form, kept by at most one entry — the last cut
+// served to a ?since= request, which is what that caller's next
+// request names — so the diff decodes neither side. Every other entry
+// (older served cuts, checkpoints) holds bytes only and is decoded
+// when a request names it.
 type servedBase struct {
-	name string
-	data []byte
+	name  string
+	data  []byte
+	state *shard.CoordinatorState
 }
 
 // rememberBase records a full-snapshot state in the ring serving
-// /snapshot?since= (newest last, bounded by snapshotBaseHistory).
-func (n *Node) rememberBase(name string, data []byte) {
+// /snapshot?since= (newest last, bounded by snapshotBaseHistory). A
+// non-nil state becomes the one decoded base; every other entry drops
+// its decoded form.
+func (n *Node) rememberBase(name string, data []byte, state *shard.CoordinatorState) {
 	n.basesMu.Lock()
 	defer n.basesMu.Unlock()
+	if state != nil {
+		for i := range n.bases {
+			n.bases[i].state = nil
+		}
+	}
 	for i, b := range n.bases {
 		if b.name == name {
 			// Already known: refresh recency.
+			if state != nil {
+				b.state = state
+			}
 			n.bases = append(append(n.bases[:i:i], n.bases[i+1:]...), b)
 			return
 		}
 	}
-	n.bases = append(n.bases, servedBase{name: name, data: data})
-	if len(n.bases) > snapshotBaseHistory {
-		n.bases = n.bases[len(n.bases)-snapshotBaseHistory:]
+	n.bases = append(n.bases, servedBase{name: name, data: data, state: state})
+	if drop := len(n.bases) - snapshotBaseHistory; drop > 0 {
+		clear(n.bases[:drop])
+		n.bases = n.bases[drop:]
 	}
 }
 
 // baseFor looks up a remembered state by name.
-func (n *Node) baseFor(name string) ([]byte, bool) {
+func (n *Node) baseFor(name string) (servedBase, bool) {
 	n.basesMu.Lock()
 	defer n.basesMu.Unlock()
 	for _, b := range n.bases {
 		if b.name == name {
-			return b.data, true
+			return b, true
 		}
 	}
-	return nil, false
+	return servedBase{}, false
 }
 
 // setStats runs a mutation of the statsMu-guarded monitoring fields.
@@ -844,7 +863,7 @@ func (n *Node) doClose() error {
 		// crash-simulation pattern), its use-after-Close panic must
 		// degrade to a Close error — a graceful teardown path should
 		// report "no final checkpoint", not crash the process.
-		_, err = n.checkpoint(func() (data []byte, name string, cutErr error) {
+		_, err = n.checkpoint(func() (data []byte, name string, state *shard.CoordinatorState, cutErr error) {
 			defer func() {
 				if r := recover(); r != nil {
 					cutErr = fmt.Errorf("serve: final checkpoint: %v", r)
@@ -1166,8 +1185,9 @@ func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var data []byte
 	var name string
+	var state *shard.CoordinatorState
 	err := n.locked(func() (err error) {
-		data, name, err = n.cut()
+		data, name, state, err = n.cut()
 		return err
 	})
 	if errors.Is(err, errClosed) {
@@ -1180,26 +1200,39 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	// Everything below happens off-lock: a slow downloader must not
 	// block Close (see locked).
-	n.rememberBase(name, data)
-	w.Header().Set("ETag", `"`+name+`"`)
-	w.Header().Set("X-Snapshot-Name", name)
 	since := r.URL.Query().Get("since")
-	if since == name || etagMatches(r.Header.Get("If-None-Match"), name) {
-		n.met.snapshotServed("not_modified", 0)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
+	notModified := since == name || etagMatches(r.Header.Get("If-None-Match"), name)
 	blob, result := data, "full"
-	if since != "" {
+	if since != "" && !notModified {
+		// The base is looked up before this cut is remembered: in a
+		// full ring, remembering evicts the oldest entry, which may be
+		// the very base the caller names.
 		if base, ok := n.baseFor(since); ok {
 			// A failed or unprofitable diff silently degrades to the
 			// full response — deltas are an optimization, never a
 			// requirement.
-			if d, err := encodeAnyDelta(base, data); err == nil && len(d) < len(data) {
+			d, cur, err := encodeAnyDelta(base, data, state)
+			if err == nil && len(d) < len(data) {
 				blob, result = d, "delta"
 				w.Header().Set("X-Snapshot-Base", since)
 			}
+			if cur != nil {
+				state = cur
+			}
 		}
+	}
+	if since == "" {
+		// Only a cut served to a ?since= caller keeps its decoded form:
+		// that caller's next request diffs against it.
+		state = nil
+	}
+	n.rememberBase(name, data, state)
+	w.Header().Set("ETag", `"`+name+`"`)
+	w.Header().Set("X-Snapshot-Name", name)
+	if notModified {
+		n.met.snapshotServed("not_modified", 0)
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
 	n.met.snapshotServed(result, len(blob))
 	w.Header().Set("Content-Type", "application/octet-stream")

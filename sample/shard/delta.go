@@ -17,6 +17,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/misragries"
 	"repro/internal/wire"
@@ -28,11 +29,15 @@ import (
 // earlier checkpoints (Snapshot). The coordinator stays usable
 // afterwards.
 func (c *Coordinator) SnapshotDelta(base []byte) ([]byte, error) {
-	cur, err := c.Snapshot()
+	cur, err := c.exportState()
 	if err != nil {
 		return nil, err
 	}
-	return EncodeCoordinatorDelta(base, cur)
+	db, err := DecodeCoordinator(base)
+	if err != nil {
+		return nil, fmt.Errorf("shard: delta base: %w", err)
+	}
+	return cur.Delta(db, snap.Name(base))
 }
 
 // EncodeCoordinatorDelta computes the v2 delta that turns the full v1
@@ -40,38 +45,45 @@ func (c *Coordinator) SnapshotDelta(base []byte) ([]byte, error) {
 // coordinator (identical spec and config);
 // ApplyCoordinatorDelta(base, result) reproduces cur bit-for-bit.
 func EncodeCoordinatorDelta(base, cur []byte) ([]byte, error) {
-	db, err := decodeCoordinator(base)
+	db, err := DecodeCoordinator(base)
 	if err != nil {
 		return nil, fmt.Errorf("shard: delta base: %w", err)
 	}
-	dc, err := decodeCoordinator(cur)
+	dc, err := DecodeCoordinator(cur)
 	if err != nil {
 		return nil, fmt.Errorf("shard: delta target: %w", err)
 	}
-	if db.spec != dc.spec || db.cfg != dc.cfg {
+	return dc.Delta(db, snap.Name(base))
+}
+
+// Delta is EncodeCoordinatorDelta on decoded states: the v2 delta that
+// turns base into d, where baseName is snap.Name of base's v1 bytes —
+// the name the delta records, which the caller already holds.
+func (d *CoordinatorState) Delta(base *CoordinatorState, baseName string) ([]byte, error) {
+	if base.spec != d.spec || base.cfg != d.cfg {
 		return nil, fmt.Errorf("shard: delta base is a different coordinator (%+v/%+v vs %+v/%+v)",
-			db.spec, db.cfg, dc.spec, dc.cfg)
+			base.spec, base.cfg, d.spec, d.cfg)
 	}
 	w := &wire.Writer{}
-	wire.PutDeltaHeader(w, wire.KindCoordinator, snap.Name(base))
-	w.Varint(dc.total)
-	w.Uvarint(uint64(dc.rr))
-	w.U64(dc.hi)
-	w.U64(dc.lo)
-	w.Uvarint(uint64(len(dc.pools)))
-	for j := range dc.pools {
-		pd, err := dc.pools[j].Diff(db.pools[j])
+	wire.PutDeltaHeader(w, wire.KindCoordinator, baseName)
+	w.Varint(d.total)
+	w.Uvarint(uint64(d.rr))
+	w.U64(d.hi)
+	w.U64(d.lo)
+	w.Uvarint(uint64(len(d.pools)))
+	for j := range d.pools {
+		pd, err := d.pools[j].Diff(base.pools[j])
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", j, err)
 		}
-		changed := pd.ChangedFrom(db.pools[j])
+		changed := pd.ChangedFrom(base.pools[j])
 		var mgd misragries.Delta
-		hasMG := dc.mgs[j] != nil
+		hasMG := d.mgs[j] != nil
 		if hasMG {
-			if mgd, err = dc.mgs[j].Diff(*db.mgs[j]); err != nil {
+			if mgd, err = d.mgs[j].Diff(*base.mgs[j]); err != nil {
 				return nil, fmt.Errorf("shard %d normalizer: %w", j, err)
 			}
-			changed = changed || mgd.ChangedFrom(*db.mgs[j])
+			changed = changed || mgd.ChangedFrom(*base.mgs[j])
 		}
 		// One presence bit per shard: a shard the interval's traffic
 		// missed costs a single byte.
@@ -89,14 +101,28 @@ func EncodeCoordinatorDelta(base, cur []byte) ([]byte, error) {
 // ApplyCoordinatorDelta folds one v2 delta onto its base coordinator
 // snapshot, returning the successor checkpoint's full v1 bytes. The
 // delta must name this exact base (snap.ErrDeltaBaseMismatch wrapped
-// otherwise). The result's semantic invariants are re-validated by
-// whatever consumes the bytes next (RestoreCoordinator,
-// SamplerStates), exactly as for bytes read off disk.
+// otherwise), and the result must pass DecodeCoordinator's structural
+// checks. Pool contents are re-validated by whatever restores the
+// bytes next (RestoreCoordinator, sample.FromState), exactly as for
+// bytes read off disk.
 func ApplyCoordinatorDelta(base, delta []byte) ([]byte, error) {
-	db, err := decodeCoordinator(base)
+	db, err := DecodeCoordinator(base)
 	if err != nil {
 		return nil, fmt.Errorf("shard: delta base: %w", err)
 	}
+	next, err := db.Apply(delta, snap.Name(base))
+	if err != nil {
+		return nil, err
+	}
+	return next.Encode(), nil
+}
+
+// Apply is ApplyCoordinatorDelta on a decoded base: it folds delta onto
+// a copy of d, whose v1 bytes are named name, and returns the
+// successor state after DecodeCoordinator's structural checks. d itself
+// is never modified, whether the fold succeeds or not, so a cached base
+// survives a hostile delta.
+func (d *CoordinatorState) Apply(delta []byte, name string) (*CoordinatorState, error) {
 	r := wire.NewReader(delta)
 	kind, bname := wire.DeltaHeader(r)
 	if err := r.Err(); err != nil {
@@ -105,18 +131,21 @@ func ApplyCoordinatorDelta(base, delta []byte) ([]byte, error) {
 	if kind != wire.KindCoordinator {
 		return nil, fmt.Errorf("shard: not a coordinator delta (kind %d)", kind)
 	}
-	if have := snap.Name(base); bname != have {
+	if bname != name {
 		return nil, fmt.Errorf("%w: delta wants base %s, applied to %s",
-			snap.ErrDeltaBaseMismatch, bname, have)
+			snap.ErrDeltaBaseMismatch, bname, name)
 	}
-	db.total = r.Varint()
-	db.rr = int(r.Uvarint() & 0xffff)
-	db.hi = r.U64()
-	db.lo = r.U64()
-	if n := r.Count(1); r.Err() == nil && n != len(db.pools) {
-		return nil, fmt.Errorf("shard: delta spans %d shards, base has %d", n, len(db.pools))
+	next := *d
+	next.pools = slices.Clone(d.pools)
+	next.mgs = slices.Clone(d.mgs)
+	next.total = r.Varint()
+	next.rr = int(r.Uvarint() & 0xffff)
+	next.hi = r.U64()
+	next.lo = r.U64()
+	if n := r.Count(1); r.Err() == nil && n != len(next.pools) {
+		return nil, fmt.Errorf("shard: delta spans %d shards, base has %d", n, len(next.pools))
 	}
-	for j := range db.pools {
+	for j := range next.pools {
 		if !r.Bool() {
 			continue
 		}
@@ -124,27 +153,30 @@ func ApplyCoordinatorDelta(base, delta []byte) ([]byte, error) {
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("shard: %w", err)
 		}
-		pool, err := pd.Apply(db.pools[j])
+		pool, err := pd.Apply(next.pools[j])
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", j, err)
 		}
-		db.pools[j] = pool
-		if db.mgs[j] != nil {
+		next.pools[j] = pool
+		if next.mgs[j] != nil {
 			mgd := wire.MGDeltaR(r)
 			if err := r.Err(); err != nil {
 				return nil, fmt.Errorf("shard: %w", err)
 			}
-			mg, err := mgd.Apply(*db.mgs[j])
+			mg, err := mgd.Apply(*next.mgs[j])
 			if err != nil {
 				return nil, fmt.Errorf("shard %d normalizer: %w", j, err)
 			}
-			db.mgs[j] = &mg
+			next.mgs[j] = &mg
 		}
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	return encodeCoordinator(&db), nil
+	if err := next.validate(); err != nil {
+		return nil, err
+	}
+	return &next, nil
 }
 
 // ResolveCoordinatorChain folds a coordinator snapshot chain — one

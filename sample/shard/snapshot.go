@@ -24,16 +24,25 @@ import (
 // (only the predefined measures have stable wire names). Safe from any
 // goroutine.
 func (c *Coordinator) Snapshot() ([]byte, error) {
+	_, data, err := c.Cut()
+	return data, err
+}
+
+// Cut is Snapshot returning the state in decoded form as well as its
+// v1 bytes: a caller that will diff against the cut (SnapshotDelta, a
+// serving node answering /snapshot?since=) then need not decode bytes
+// it just encoded. The state shares nothing with the live coordinator.
+func (c *Coordinator) Cut() (*CoordinatorState, []byte, error) {
 	d, err := c.exportState()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return encodeCoordinator(d), nil
+	return d, d.Encode(), nil
 }
 
 // exportState drains the coordinator and captures its complete state
 // in decoded form — the shared substrate of Snapshot and SnapshotDelta.
-func (c *Coordinator) exportState() (*decodedCoordinator, error) {
+func (c *Coordinator) exportState() (*CoordinatorState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ensureOpen()
@@ -46,7 +55,7 @@ func (c *Coordinator) exportState() (*decodedCoordinator, error) {
 	// checkpointed pool state to keep post-checkpoint queries
 	// bit-for-bit identical on both sides.
 	c.plan = nil
-	d := &decodedCoordinator{spec: c.spec, cfg: c.cfg, total: c.total, rr: c.rr}
+	d := &CoordinatorState{spec: c.spec, cfg: c.cfg, total: c.total, rr: c.rr}
 	d.hi, d.lo = c.src.State()
 	d.pools = make([]core.GSamplerState, len(c.workers))
 	d.mgs = make([]*misragries.State, len(c.workers))
@@ -62,11 +71,11 @@ func (c *Coordinator) exportState() (*decodedCoordinator, error) {
 	return d, nil
 }
 
-// encodeCoordinator is the single v1 encoder for coordinator state,
-// shared by the live Snapshot path and the delta codec's re-encode
-// (ApplyCoordinatorDelta): one state, one encoding, whichever path
-// produced it.
-func encodeCoordinator(d *decodedCoordinator) []byte {
+// Encode returns the state's v1 bytes. It is the single v1 encoder for
+// coordinator state, shared by the live Snapshot path and the delta
+// codec's re-encode (ApplyCoordinatorDelta): one state, one encoding,
+// whichever path produced it.
+func (d *CoordinatorState) Encode() []byte {
 	w := &wire.Writer{}
 	wire.PutHeader(w, wire.KindCoordinator)
 	// Constructor spec.
@@ -99,9 +108,13 @@ func encodeCoordinator(d *decodedCoordinator) []byte {
 	return w.Bytes()
 }
 
-// decodedCoordinator is the parsed form of a coordinator snapshot,
-// validated before any allocation happens.
-type decodedCoordinator struct {
+// CoordinatorState is a coordinator snapshot in decoded form: what
+// Cut exports, DecodeCoordinator parses and validates, and the delta
+// codec diffs (Delta) and folds (Apply) without a byte round trip.
+// A CoordinatorState is immutable once made — Apply folds onto a copy —
+// so it may be shared across goroutines and kept as the base of the
+// next delta.
+type CoordinatorState struct {
 	spec  coordSpec
 	cfg   Config
 	total int64
@@ -117,7 +130,7 @@ type decodedCoordinator struct {
 // The restored coordinator continues ingestion and merged queries
 // bit-for-bit from the captured point.
 func RestoreCoordinator(data []byte) (*Coordinator, error) {
-	d, err := decodeCoordinator(data)
+	d, err := DecodeCoordinator(data)
 	if err != nil {
 		return nil, err
 	}
@@ -188,10 +201,17 @@ func IsCoordinatorSnapshot(data []byte) bool {
 // for nonlinear measures the machines must partition items just as
 // hash routing partitions them across shards.
 func SamplerStates(data []byte) ([]sample.State, error) {
-	d, err := decodeCoordinator(data)
+	d, err := DecodeCoordinator(data)
 	if err != nil {
 		return nil, err
 	}
+	return d.SamplerStates()
+}
+
+// SamplerStates is the package-level SamplerStates on a decoded
+// snapshot. The states share the pools' memory with d and must not be
+// modified.
+func (d *CoordinatorState) SamplerStates() ([]sample.State, error) {
 	states := make([]sample.State, d.cfg.Shards)
 	switch d.spec.kind {
 	case coordMeasure:
@@ -250,11 +270,16 @@ func (c *Coordinator) Describe() string {
 	return fmt.Sprintf("kind=%d", c.spec.kind)
 }
 
-func decodeCoordinator(data []byte) (decodedCoordinator, error) {
-	var d decodedCoordinator
+// DecodeCoordinator parses a coordinator snapshot and runs every
+// structural check on it: spec and config ranges, each pool's shape,
+// normalizer presence and width, and pool lengths summing to the
+// coordinator total. Pool contents are validated where they are
+// restored (RestoreCoordinator, sample.FromState).
+func DecodeCoordinator(data []byte) (*CoordinatorState, error) {
+	d := &CoordinatorState{}
 	r := wire.NewReader(data)
 	if kind := wire.Header(r); r.Err() == nil && kind != wire.KindCoordinator {
-		return d, fmt.Errorf("shard: not a coordinator snapshot (kind %d)", kind)
+		return nil, fmt.Errorf("shard: not a coordinator snapshot (kind %d)", kind)
 	}
 	d.spec.kind = r.U8()
 	d.spec.measure = r.String(32)
@@ -277,15 +302,14 @@ func decodeCoordinator(data []byte) (decodedCoordinator, error) {
 	d.hi = r.U64()
 	d.lo = r.U64()
 	if r.Err() != nil {
-		return d, fmt.Errorf("shard: %w", r.Err())
+		return nil, fmt.Errorf("shard: %w", r.Err())
 	}
-	trials, err := validateCoordinatorHead(d)
-	if err != nil {
-		return d, err
+	// The head is checked before the pool slices are sized from it.
+	if _, err := validateCoordinatorHead(d); err != nil {
+		return nil, err
 	}
 	d.pools = make([]core.GSamplerState, d.cfg.Shards)
 	d.mgs = make([]*misragries.State, d.cfg.Shards)
-	var sum int64
 	for j := 0; j < d.cfg.Shards; j++ {
 		d.pools[j] = wire.GSamplerStateR(r)
 		if r.Bool() {
@@ -293,40 +317,55 @@ func decodeCoordinator(data []byte) (decodedCoordinator, error) {
 			d.mgs[j] = &mg
 		}
 		if r.Err() != nil {
-			return d, fmt.Errorf("shard: %w", r.Err())
+			return nil, fmt.Errorf("shard: %w", r.Err())
 		}
-		// Shape checks before the constructors allocate anything: the
-		// decoded counts are input-bounded, the spec-derived sizes must
-		// match them.
-		if d.pools[j].GroupSize != trials || len(d.pools[j].Insts) != trials*d.cfg.Queries {
-			return d, fmt.Errorf("shard %d: pool shape (%d×%d) does not match spec (%d×%d)",
-				j, d.pools[j].GroupSize, len(d.pools[j].Insts), trials, trials*d.cfg.Queries)
-		}
-		needMG := d.spec.kind == coordLp && d.spec.p > 1
-		if needMG != (d.mgs[j] != nil) {
-			return d, fmt.Errorf("shard %d: normalizer presence mismatch", j)
-		}
-		if needMG {
-			if want := core.LpMGWidth(d.spec.p, d.spec.n); d.mgs[j].K != want {
-				return d, fmt.Errorf("shard %d: normalizer width %d, spec needs %d",
-					j, d.mgs[j].K, want)
-			}
-		}
-		sum += d.pools[j].T
 	}
 	if err := r.Done(); err != nil {
-		return d, fmt.Errorf("shard: %w", err)
+		return nil, fmt.Errorf("shard: %w", err)
 	}
-	// Post-drain invariant: every routed update lives in some pool.
-	if sum != d.total {
-		return d, fmt.Errorf("shard: pool lengths sum to %d, coordinator total is %d", sum, d.total)
+	if err := d.validate(); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
 
+// validate runs the structural checks on a parsed or folded state:
+// the head, then each pool's shape against the spec-derived sizes
+// (before any constructor allocates from them) and its normalizer's
+// presence and width, then the post-drain invariant that every routed
+// update lives in some pool.
+func (d *CoordinatorState) validate() error {
+	trials, err := validateCoordinatorHead(d)
+	if err != nil {
+		return err
+	}
+	needMG := d.spec.kind == coordLp && d.spec.p > 1
+	var sum int64
+	for j, pool := range d.pools {
+		if pool.GroupSize != trials || len(pool.Insts) != trials*d.cfg.Queries {
+			return fmt.Errorf("shard %d: pool shape (%d×%d) does not match spec (%d×%d)",
+				j, pool.GroupSize, len(pool.Insts), trials, trials*d.cfg.Queries)
+		}
+		if needMG != (d.mgs[j] != nil) {
+			return fmt.Errorf("shard %d: normalizer presence mismatch", j)
+		}
+		if needMG {
+			if want := core.LpMGWidth(d.spec.p, d.spec.n); d.mgs[j].K != want {
+				return fmt.Errorf("shard %d: normalizer width %d, spec needs %d",
+					j, d.mgs[j].K, want)
+			}
+		}
+		sum += pool.T
+	}
+	if sum != d.total {
+		return fmt.Errorf("shard: pool lengths sum to %d, coordinator total is %d", sum, d.total)
+	}
+	return nil
+}
+
 // validateCoordinatorHead sanity-checks the spec and config and
 // returns the spec-derived per-shard trial budget.
-func validateCoordinatorHead(d decodedCoordinator) (int, error) {
+func validateCoordinatorHead(d *CoordinatorState) (int, error) {
 	s := d.spec
 	if !(s.delta > 0 && s.delta < 1) {
 		return 0, fmt.Errorf("shard: delta %v outside (0,1)", s.delta)

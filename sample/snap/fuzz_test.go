@@ -149,7 +149,7 @@ func FuzzSnapDecode(f *testing.F) {
 			// check screens most mutants; the seeds carry matching names
 			// so payload mutations get through.)
 			for _, base := range bases {
-				full, err := applyAny(base, data)
+				full, err := applyAny(t, base, data)
 				if err != nil {
 					continue
 				}
@@ -199,10 +199,26 @@ func FuzzSnapDecode(f *testing.F) {
 }
 
 // applyAny dispatches delta application on the base's kind, mirroring
-// the serving layer's dispatch.
-func applyAny(base, delta []byte) ([]byte, error) {
-	if shard.IsCoordinatorSnapshot(base) {
-		return shard.ApplyCoordinatorDelta(base, delta)
+// the serving layer's dispatch. A coordinator delta is also folded onto
+// the decoded base, as the aggregator folds it: the decoded fold must
+// succeed or fail with the byte fold, agree with it on the result, and
+// leave the base encoding to the bytes it encoded to before.
+func applyAny(t *testing.T, base, delta []byte) ([]byte, error) {
+	if !shard.IsCoordinatorSnapshot(base) {
+		return snap.ApplyDelta(base, delta)
 	}
-	return snap.ApplyDelta(base, delta)
+	full, err := shard.ApplyCoordinatorDelta(base, delta)
+	st, derr := shard.DecodeCoordinator(base)
+	if derr != nil {
+		return full, err
+	}
+	before := st.Encode()
+	next, aerr := st.Apply(delta, snap.Name(base))
+	if !bytes.Equal(st.Encode(), before) {
+		t.Fatalf("decoded fold modified its base (fold error %v)", aerr)
+	}
+	if (aerr == nil) != (err == nil) || (aerr == nil && !bytes.Equal(next.Encode(), full)) {
+		t.Fatalf("decoded fold (error %v) disagrees with ApplyCoordinatorDelta (error %v)", aerr, err)
+	}
+	return full, err
 }

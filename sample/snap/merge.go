@@ -145,14 +145,13 @@ func MergeStates(seed uint64, states ...sample.State) (*Merged, error) {
 // merge is a state union over shared random structure), excluding the
 // seed for the framework kinds (whose mixture argument wants
 // independent per-shard pools).
-func compatibleSpecs(states []sample.State) error {
-	ref := states[0].Spec
+func compatibleSpecs(specs []sample.Spec) error {
+	ref := specs[0]
 	refNoSeed := ref
 	refNoSeed.Seed = 0
 	seedMatters := ref.Kind == sample.KindF0 || ref.Kind == sample.KindF0Oracle ||
 		ref.Kind == sample.KindTurnstileF0
-	for i, st := range states[1:] {
-		spec := st.Spec
+	for i, spec := range specs[1:] {
 		if seedMatters && spec.Seed != ref.Seed {
 			return fmt.Errorf("snap: %v merge needs a shared seed, snapshot %d differs", ref.Kind, i+1)
 		}
@@ -165,13 +164,34 @@ func compatibleSpecs(states []sample.State) error {
 	return nil
 }
 
-// buildFramework restores each snapshot's sampler and wires the m_j/m
-// mixture over their pools.
-func buildFramework(states []sample.State) (*MergePlan, error) {
-	spec := states[0].Spec
-	pools := make([]*core.GSampler, len(states))
-	var total, maxBound int64
-	var g sample.Measure
+// Pool is one framework-kind sampler state (L1, M-estimator, Lp)
+// restored for merging: its pool, its measure and, for Lp with p > 1,
+// its normalizer bound. BuildMergePlan restores a Pool per state on
+// every call; a caller that merges the same states into many plans —
+// sample/serve's aggregator, once per node state name — restores them
+// once with RestorePools and plans with PlanPools. A plan never writes
+// a Pool: its trials flip coins from a copy of the pool's PCG state,
+// so any number of plans, on any goroutines, share one Pool and each
+// replays the coins a fresh restore would.
+type Pool struct {
+	spec sample.Spec
+	h    sample.PoolHandle
+}
+
+// RestorePools restores framework-kind states into Pools, with
+// sample.FromState's full validation. It returns nil and no error when
+// the states hold any other kind: those merge only through
+// BuildMergePlan.
+func RestorePools(states []sample.State) ([]*Pool, error) {
+	if len(states) == 0 {
+		return nil, nil
+	}
+	switch states[0].Spec.Kind {
+	case sample.KindL1, sample.KindMEstimator, sample.KindLp:
+	default:
+		return nil, nil
+	}
+	pools := make([]*Pool, len(states))
 	for j, st := range states {
 		s, err := sample.FromState(st)
 		if err != nil {
@@ -179,17 +199,56 @@ func buildFramework(states []sample.State) (*MergePlan, error) {
 		}
 		h, ok := sample.MergeHandle(s)
 		if !ok {
-			return nil, fmt.Errorf("snapshot %d: %v is not a framework kind", j, spec.Kind)
+			return nil, fmt.Errorf("snapshot %d: %v is not a framework kind", j, st.Spec.Kind)
 		}
-		pools[j] = h.Pool
-		if h.Pool.StreamLen() > math.MaxInt64-total {
+		pools[j] = &Pool{spec: st.Spec, h: h}
+	}
+	return pools, nil
+}
+
+// PlanPools is BuildMergePlan over Pools restored by RestorePools: the
+// same compatibility checks and refusals, the same global ζ, and for
+// equal qseeds the same draws as BuildMergePlan over the states the
+// Pools came from — however many plans share the Pools.
+func PlanPools(pools ...*Pool) (*MergePlan, error) {
+	if len(pools) == 0 {
+		return nil, fmt.Errorf("snap: nothing to merge")
+	}
+	specs := make([]sample.Spec, len(pools))
+	for j, p := range pools {
+		specs[j] = p.spec
+	}
+	if err := compatibleSpecs(specs); err != nil {
+		return nil, err
+	}
+	return planPools(pools)
+}
+
+// buildFramework restores each snapshot's sampler and wires the m_j/m
+// mixture over their pools.
+func buildFramework(states []sample.State) (*MergePlan, error) {
+	pools, err := RestorePools(states)
+	if err != nil {
+		return nil, err
+	}
+	return planPools(pools)
+}
+
+// planPools wires the m_j/m mixture over compatible Pools, each pool's
+// trials flipping a plan-owned copy of its PCG state.
+func planPools(pools []*Pool) (*MergePlan, error) {
+	spec := pools[0].spec
+	live := make([]*core.GSampler, len(pools))
+	var total, maxBound int64
+	for j, p := range pools {
+		live[j] = p.h.Pool
+		if p.h.Pool.StreamLen() > math.MaxInt64-total {
 			return nil, fmt.Errorf("snap: snapshot stream masses overflow int64")
 		}
-		total += h.Pool.StreamLen()
-		if h.NormalizerBound > maxBound {
-			maxBound = h.NormalizerBound
+		total += p.h.Pool.StreamLen()
+		if p.h.NormalizerBound > maxBound {
+			maxBound = p.h.NormalizerBound
 		}
-		g = h.G
 	}
 	// One global ζ for every trial of every pool. For Lp with p > 1 it
 	// comes from the per-snapshot Misra–Gries bounds (max over
@@ -200,10 +259,15 @@ func buildFramework(states []sample.State) (*MergePlan, error) {
 	if spec.Kind == sample.KindLp && spec.P > 1 {
 		zeta = measure.Lp{P: spec.P}.Zeta(max(maxBound, 1))
 	} else {
-		zeta = g.Zeta(max(total, 1))
+		zeta = pools[0].h.G.Zeta(max(total, 1))
 	}
-	p := PoolPlan(pools, zeta, spec.Queries)
+	p := PoolPlan(live, zeta, spec.Queries)
 	p.kind = spec.Kind
+	copies := make([]rng.PCG, len(live))
+	for j, coins := range p.coins {
+		copies[j] = *coins
+		p.coins[j] = &copies[j]
+	}
 	return p, nil
 }
 

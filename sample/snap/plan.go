@@ -57,9 +57,12 @@ type MergePlan struct {
 	zeta    float64
 	lens    []int64
 
-	// Framework kinds: pools mixed by stream mass, plus the per-group
+	// Framework kinds: pools mixed by stream mass, the coin stream each
+	// pool's trials flip from (the pool's own for PoolPlan, a plan-owned
+	// copy for restored pools several plans share), plus the per-group
 	// first-acceptance tables Materialize fills from them.
 	pools []*core.GSampler
+	coins []*rng.PCG
 	mu    sync.Mutex
 	// groups[q][j] is pool j's first accepted trial in group q, coins
 	// already flipped. Entries are append-only under mu and immutable
@@ -87,7 +90,11 @@ func BuildMergePlan(states ...sample.State) (*MergePlan, error) {
 	if len(states) == 0 {
 		return nil, fmt.Errorf("snap: nothing to merge")
 	}
-	if err := compatibleSpecs(states); err != nil {
+	specs := make([]sample.Spec, len(states))
+	for i, st := range states {
+		specs[i] = st.Spec
+	}
+	if err := compatibleSpecs(specs); err != nil {
 		return nil, err
 	}
 	spec := states[0].Spec
@@ -125,7 +132,9 @@ func BuildMergePlan(states ...sample.State) (*MergePlan, error) {
 // trial is normalized by the one global increment bound zeta, and
 // queries is the provisioned group count. It is the framework half of
 // BuildMergePlan without the decode — shard.Coordinator builds its
-// cached query plan over its drained worker pools with it. The plan
+// cached query plan over its drained worker pools with it. The trials
+// flip each pool's own coin stream, so the pools' PCGs advance as
+// groups materialize, exactly as the pools' snapshots record. The plan
 // reads the pools whenever it materializes groups (Materialize, or
 // DrawK past the materialized prefix), so the caller must keep them
 // idle across those calls; draws within the materialized prefix never
@@ -137,9 +146,11 @@ func PoolPlan(pools []*core.GSampler, zeta float64, queries int) *MergePlan {
 		budget:  pools[0].GroupSize(),
 		zeta:    zeta,
 		pools:   pools,
+		coins:   make([]*rng.PCG, len(pools)),
 		lens:    make([]int64, len(pools)),
 	}
 	for j, pool := range pools {
+		p.coins[j] = pool.Coins()
 		p.lens[j] = pool.StreamLen()
 		p.total += p.lens[j]
 	}
@@ -301,7 +312,7 @@ func (p *MergePlan) materialize(k int) [][]firstAccept {
 	for q := len(p.groups); q < k; q++ {
 		group := make([]firstAccept, len(p.pools))
 		for j, pool := range p.pools {
-			at, out := pool.FirstAcceptance(q, p.zeta)
+			at, out := pool.FirstAcceptance(q, p.zeta, p.coins[j])
 			group[j] = firstAccept{at: at, item: out.Item, freq: out.AfterCount}
 		}
 		p.groups = append(p.groups, group)

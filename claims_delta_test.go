@@ -10,6 +10,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -196,7 +197,7 @@ func TestClaimDeltaServingAvoidsFullRefetch(t *testing.T) {
 		n.Coordinator().ProcessBatch(items[j*10_000 : (j+1)*10_000])
 	}
 	agg := serve.NewAggregator(77, urls...)
-	if _, _, err := agg.Merge(); err != nil { // cold query primes the cache
+	if _, _, err := agg.Merge(context.Background()); err != nil { // cold query primes the cache
 		t.Fatalf("cold Merge: %v", err)
 	}
 	cold := agg.Counters()
@@ -208,7 +209,7 @@ func TestClaimDeltaServingAvoidsFullRefetch(t *testing.T) {
 	for j, n := range nodes {
 		n.Coordinator().ProcessBatch(items[30_000+j*100 : 30_000+(j+1)*100])
 	}
-	merged, pools, err := agg.Merge()
+	merged, pools, err := agg.Merge(context.Background())
 	if err != nil {
 		t.Fatalf("warm Merge: %v", err)
 	}
@@ -228,7 +229,7 @@ func TestClaimDeltaServingAvoidsFullRefetch(t *testing.T) {
 	}
 
 	// Fully idle fleet: zero bodies at all.
-	if _, _, err := agg.Merge(); err != nil {
+	if _, _, err := agg.Merge(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	idle := agg.Counters()

@@ -10,6 +10,7 @@ package repro
 // including across an HTTP crash/restore cycle.
 
 import (
+	"context"
 	"math"
 	"net/http/httptest"
 	"reflect"
@@ -346,7 +347,7 @@ func TestClaimDormantKindServedLaw(t *testing.T) {
 		victim := serve.NewSamplerNode(mk(), serve.NodeConfig{Store: store})
 		srv := httptest.NewServer(victim.Handler())
 		cl := serve.NewClient(srv.URL)
-		if _, err := cl.Ingest(tfItems[:half]); err != nil {
+		if _, err := cl.Ingest(context.Background(), tfItems[:half]); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := victim.Checkpoint(); err != nil {
@@ -354,7 +355,7 @@ func TestClaimDormantKindServedLaw(t *testing.T) {
 		}
 		// Acknowledged after the checkpoint, then the process dies: the
 		// documented ≤-one-interval staleness loss.
-		if _, err := cl.Ingest(tfItems[half : half+3]); err != nil {
+		if _, err := cl.Ingest(context.Background(), tfItems[half:half+3]); err != nil {
 			t.Fatal(err)
 		}
 		srv.Close() // crash: no Node.Close, no final snapshot
@@ -372,7 +373,7 @@ func TestClaimDormantKindServedLaw(t *testing.T) {
 		}
 		srv2 := httptest.NewServer(restored.Handler())
 		defer srv2.Close()
-		if _, err := serve.NewClient(srv2.URL).Ingest(tfItems[half:]); err != nil {
+		if _, err := serve.NewClient(srv2.URL).Ingest(context.Background(), tfItems[half:]); err != nil {
 			t.Fatal(err)
 		}
 
@@ -380,7 +381,7 @@ func TestClaimDormantKindServedLaw(t *testing.T) {
 		ref.ProcessBatch(tfItems[:half])
 		ref.ProcessBatch(tfItems[half:])
 		for q := 0; q < 6; q++ {
-			resp, err := serve.NewClient(srv2.URL).Sample()
+			resp, err := serve.NewClient(srv2.URL).SampleK(context.Background(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -56,11 +57,11 @@ func TestClaimIngestCodecEquivalence(t *testing.T) {
 	}
 	transports := []transport{
 		{"json", func(cl *serve.Client, part []int64) error {
-			_, err := cl.Ingest(part)
+			_, err := cl.Ingest(context.Background(), part)
 			return err
 		}},
 		{"binary", func(cl *serve.Client, part []int64) error {
-			_, err := cl.IngestBinary(part)
+			_, err := cl.IngestBinary(context.Background(), part)
 			return err
 		}},
 	}
@@ -78,12 +79,13 @@ func TestClaimIngestCodecEquivalence(t *testing.T) {
 						t.Fatalf("%s: %v", tr.name, err)
 					}
 				}
-				snap, _, err := cl.Snapshot()
+				res, err := cl.SnapshotSince(context.Background(), "")
 				srv.Close()
 				node.Close()
 				if err != nil {
 					t.Fatalf("%s: snapshot: %v", tr.name, err)
 				}
+				snap := res.Data
 				if ref == nil {
 					ref = snap
 					continue
@@ -143,7 +145,7 @@ func TestClaimCoalescedIngestLaw(t *testing.T) {
 				defer wg.Done()
 				for at := 0; at < len(part); at += req {
 					end := min(at+req, len(part))
-					if _, err := cl.IngestBinary(part[at:end]); err != nil {
+					if _, err := cl.IngestBinary(context.Background(), part[at:end]); err != nil {
 						errs <- err
 						return
 					}
@@ -158,7 +160,7 @@ func TestClaimCoalescedIngestLaw(t *testing.T) {
 		if got := node.StreamLen(); got != int64(m) {
 			t.Fatalf("fleet %d: stream mass %d after coalesced ingest, want %d", fleet, got, m)
 		}
-		resp, err := cl.SampleK(k)
+		resp, err := cl.SampleK(context.Background(), k)
 		srv.Close()
 		node.Close()
 		if err != nil {

@@ -8,6 +8,7 @@ package repro
 // round-trip noise dwarfs the tens of nanoseconds the counters cost).
 
 import (
+	"context"
 	"net/http/httptest"
 	"slices"
 	"strconv"
@@ -62,7 +63,7 @@ func TestClaimObsExposition(t *testing.T) {
 	defer node.Close()
 	nodeSrv := httptest.NewServer(node.Handler())
 	defer nodeSrv.Close()
-	if _, err := serve.NewClient(nodeSrv.URL).Ingest([]int64{7, 7, 8}); err != nil {
+	if _, err := serve.NewClient(nodeSrv.URL).Ingest(context.Background(), []int64{7, 7, 8}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := node.Checkpoint(); err != nil {
@@ -71,11 +72,11 @@ func TestClaimObsExposition(t *testing.T) {
 	agg := serve.NewAggregator(9, nodeSrv.URL)
 	aggSrv := httptest.NewServer(agg.Handler())
 	defer aggSrv.Close()
-	if _, err := serve.NewClient(aggSrv.URL).SampleK(1); err != nil {
+	if _, err := serve.NewClient(aggSrv.URL).SampleK(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 
-	nodeText, err := serve.NewClient(nodeSrv.URL).Metrics()
+	nodeText, err := serve.NewClient(nodeSrv.URL).Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestClaimObsExposition(t *testing.T) {
 		t.Errorf("cut cache after checkpoint + fetch: %v hits / %v misses, want 1/1", hit, miss)
 	}
 
-	aggText, err := serve.NewClient(aggSrv.URL).Metrics()
+	aggText, err := serve.NewClient(aggSrv.URL).Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestClaimObsOverhead(t *testing.T) {
 		for i := 0; i < batches; i++ {
 			for _, a := range [2]int{i % 2, 1 - i%2} {
 				t0 := time.Now()
-				if _, err := arms[a].Ingest(items); err != nil {
+				if _, err := arms[a].Ingest(context.Background(), items); err != nil {
 					t.Fatal(err)
 				}
 				spent[a] = append(spent[a], time.Since(t0))

@@ -11,6 +11,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -70,7 +71,7 @@ func TestClaimQueryPlanLaw(t *testing.T) {
 			defer srv.Close()
 			defer node.Close()
 			urls = append(urls, srv.URL)
-			if _, err := serve.NewClient(srv.URL).Ingest(parts[j]); err != nil {
+			if _, err := serve.NewClient(srv.URL).Ingest(context.Background(), parts[j]); err != nil {
 				t.Fatalf("ingest: %v", err)
 			}
 		}
@@ -78,7 +79,7 @@ func TestClaimQueryPlanLaw(t *testing.T) {
 		aggSrv := httptest.NewServer(agg.Handler())
 		cl := serve.NewClient(aggSrv.URL)
 		for q, h := range []stats.Histogram{rebuilt, cached} {
-			resp, err := cl.SampleK(k)
+			resp, err := cl.SampleK(context.Background(), k)
 			if err != nil {
 				aggSrv.Close()
 				t.Fatalf("fleet %d query %d: %v", fleet, q, err)
@@ -134,7 +135,7 @@ func TestClaimQueryPlanInvalidation(t *testing.T) {
 	defer node.Close()
 	srv := httptest.NewServer(node.Handler())
 	defer srv.Close()
-	if _, err := serve.NewClient(srv.URL).Ingest([]int64{1, 2, 3, 3, 3, 4}); err != nil {
+	if _, err := serve.NewClient(srv.URL).Ingest(context.Background(), []int64{1, 2, 3, 3, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,14 +145,14 @@ func TestClaimQueryPlanInvalidation(t *testing.T) {
 	aggA := serve.NewAggregator(77, srv.URL)
 	srvA := httptest.NewServer(aggA.Handler())
 	defer srvA.Close()
-	if _, err := serve.NewClient(srvA.URL).SampleK(k); err != nil {
+	if _, err := serve.NewClient(srvA.URL).SampleK(context.Background(), k); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := serve.NewClient(srv.URL).Ingest([]int64{9, 9, 9, 9, 9, 9, 9, 9}); err != nil {
+	if _, err := serve.NewClient(srv.URL).Ingest(context.Background(), []int64{9, 9, 9, 9, 9, 9, 9, 9}); err != nil {
 		t.Fatal(err)
 	}
-	respA, err := serve.NewClient(srvA.URL).SampleK(k)
+	respA, err := serve.NewClient(srvA.URL).SampleK(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +166,10 @@ func TestClaimQueryPlanInvalidation(t *testing.T) {
 	aggB := serve.NewAggregator(77, srv.URL)
 	srvB := httptest.NewServer(aggB.Handler())
 	defer srvB.Close()
-	if _, err := serve.NewClient(srvB.URL).SampleK(k); err != nil {
+	if _, err := serve.NewClient(srvB.URL).SampleK(context.Background(), k); err != nil {
 		t.Fatal(err)
 	}
-	respB, err := serve.NewClient(srvB.URL).SampleK(k)
+	respB, err := serve.NewClient(srvB.URL).SampleK(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestClaimQueryTimeoutHungNode(t *testing.T) {
 	defer srv.Close()
 
 	t0 := time.Now()
-	_, err := serve.NewClient(srv.URL).SampleK(1)
+	_, err := serve.NewClient(srv.URL).SampleK(context.Background(), 1)
 	elapsed := time.Since(t0)
 	if err == nil {
 		t.Fatal("query against a hung node succeeded")
@@ -283,14 +284,14 @@ func checkCutCache(t *testing.T, mkNode func(serve.NodeConfig) *serve.Node, twin
 
 	ingest := func(c *serve.Client, items []int64) {
 		t.Helper()
-		if _, err := c.Ingest(items); err != nil {
+		if _, err := c.Ingest(context.Background(), items); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// draws has the node behind c draw k and checks it drew want.
 	draws := func(step string, c *serve.Client, want []sample.Outcome) {
 		t.Helper()
-		resp, err := c.SampleK(k)
+		resp, err := c.SampleK(context.Background(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +391,7 @@ func checkCutCache(t *testing.T, mkNode func(serve.NodeConfig) *serve.Node, twin
 	if _, notMod := fetch("final fetch", afterIngest); !notMod {
 		t.Fatal("an untouched node did not answer 304 after its checkpoint")
 	}
-	text, err := cl.Metrics()
+	text, err := cl.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,11 +437,11 @@ func checkCutCache(t *testing.T, mkNode func(serve.NodeConfig) *serve.Node, twin
 		twin.ingest(batches[2])
 		state := twinCut()
 		for _, c := range []*serve.Client{cl, rcl} {
-			data, _, err := c.Snapshot()
+			res, err := c.SnapshotSince(context.Background(), "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(data, state) {
+			if !bytes.Equal(res.Data, state) {
 				t.Fatalf("round %d: node %s diverges from the twin", round, c.Base)
 			}
 		}
@@ -669,14 +670,14 @@ func TestClaimQuerySharedPoolPlans(t *testing.T) {
 			nodes[0].Coordinator().ProcessBatch(items[q*40 : q*40+40])
 			nodes[0].Coordinator().SampleK(k)
 		}
-		merged, _, err := agg.Merge()
+		merged, _, err := agg.Merge(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		outs, n := merged.SampleK(k)
 		var fetched []sample.State
 		for _, u := range urls {
-			res, err := serve.NewClient(u).SnapshotSince("")
+			res, err := serve.NewClient(u).SnapshotSince(context.Background(), "")
 			if err != nil {
 				t.Fatal(err)
 			}

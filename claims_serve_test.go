@@ -9,6 +9,7 @@ package repro
 // latency, never distributional error.
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 
@@ -58,13 +59,13 @@ func TestClaimServedMergeLaw(t *testing.T) {
 			defer srv.Close()
 			defer node.Close()
 			urls = append(urls, srv.URL)
-			if _, err := serve.NewClient(srv.URL).Ingest(parts[j]); err != nil {
+			if _, err := serve.NewClient(srv.URL).Ingest(context.Background(), parts[j]); err != nil {
 				t.Fatalf("ingest: %v", err)
 			}
 		}
 		agg := serve.NewAggregator(base+11, urls...)
 		aggSrv := httptest.NewServer(agg.Handler())
-		resp, err := serve.NewClient(aggSrv.URL).SampleK(k)
+		resp, err := serve.NewClient(aggSrv.URL).SampleK(context.Background(), k)
 		aggSrv.Close()
 		if err != nil {
 			t.Fatalf("aggregator SampleK: %v", err)
@@ -123,7 +124,7 @@ func TestClaimServedCrashRestart(t *testing.T) {
 	victim := serve.NewNode(mk(), serve.NodeConfig{Store: store})
 	srv := httptest.NewServer(victim.Handler())
 	cl := serve.NewClient(srv.URL)
-	if _, err := cl.Ingest(items[:2000]); err != nil {
+	if _, err := cl.Ingest(context.Background(), items[:2000]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := victim.Checkpoint(); err != nil {
@@ -131,7 +132,7 @@ func TestClaimServedCrashRestart(t *testing.T) {
 	}
 	// Acknowledged after the checkpoint, then the process dies: these
 	// updates are the documented ≤-one-interval staleness loss.
-	if _, err := cl.Ingest(items[2000:3000]); err != nil {
+	if _, err := cl.Ingest(context.Background(), items[2000:3000]); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -153,7 +154,7 @@ func TestClaimServedCrashRestart(t *testing.T) {
 	// into an uninterrupted reference; identical merged answers.
 	srv2 := httptest.NewServer(restored.Handler())
 	defer srv2.Close()
-	if _, err := serve.NewClient(srv2.URL).Ingest(items[3000:]); err != nil {
+	if _, err := serve.NewClient(srv2.URL).Ingest(context.Background(), items[3000:]); err != nil {
 		t.Fatal(err)
 	}
 	ref := mk()
@@ -162,7 +163,7 @@ func TestClaimServedCrashRestart(t *testing.T) {
 	ref.ProcessBatch(items[3000:])
 	for q := 0; q < 4; q++ {
 		want, wantN := ref.SampleK(2)
-		resp, err := serve.NewClient(srv2.URL).SampleK(2)
+		resp, err := serve.NewClient(srv2.URL).SampleK(context.Background(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 
@@ -96,7 +97,7 @@ func init() {
 		defer srv.Close()
 		node.Coordinator().ProcessBatch(items)
 		agg := serve.NewAggregator(99, srv.URL)
-		if _, _, err := agg.Merge(); err != nil {
+		if _, _, err := agg.Merge(context.Background()); err != nil {
 			fmt.Println("  aggregator:", err)
 			return
 		}
@@ -107,13 +108,13 @@ func init() {
 		}
 		for q := 0; q < queries; q++ {
 			node.Coordinator().ProcessBatch(items[q*64 : (q+1)*64])
-			if _, _, err := agg.Merge(); err != nil {
+			if _, _, err := agg.Merge(context.Background()); err != nil {
 				fmt.Println("  aggregator:", err)
 				return
 			}
 		}
 		warm := agg.Counters()
-		if _, _, err := agg.Merge(); err != nil { // idle fleet
+		if _, _, err := agg.Merge(context.Background()); err != nil { // idle fleet
 			fmt.Println("  aggregator:", err)
 			return
 		}

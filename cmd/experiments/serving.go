@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"time"
@@ -47,7 +48,7 @@ func init() {
 			reqs := 0
 			start := time.Now()
 			stream.ForEachChunk(items, batch, func(chunk []int64) {
-				if _, err := cl.Ingest(chunk); err != nil {
+				if _, err := cl.Ingest(context.Background(), chunk); err != nil {
 					panic(err)
 				}
 				reqs++
@@ -81,7 +82,7 @@ func init() {
 			for j := i; j < len(items); j += nodes {
 				part = append(part, items[j])
 			}
-			if _, err := serve.NewClient(srv.URL).Ingest(part); err != nil {
+			if _, err := serve.NewClient(srv.URL).Ingest(context.Background(), part); err != nil {
 				panic(err)
 			}
 		}
@@ -99,7 +100,7 @@ func init() {
 		var mergeNS, drawNS time.Duration
 		for i := 0; i < probes; i++ {
 			start := time.Now()
-			merged, _, err := agg.Merge()
+			merged, _, err := agg.Merge(context.Background())
 			if err != nil {
 				panic(err)
 			}
@@ -114,7 +115,7 @@ func init() {
 		fmt.Printf("  %-34s %.2f ms\n", "fetch+explode+merge per query", float64(mergeNS.Milliseconds())/float64(probes))
 		fmt.Printf("  %-34s %.3f ms\n", "one global draw from the mixture", float64(drawNS.Microseconds())/float64(probes)/1000)
 
-		merged, pools, err := agg.Merge()
+		merged, pools, err := agg.Merge(context.Background())
 		if err != nil {
 			panic(err)
 		}

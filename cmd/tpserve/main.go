@@ -27,16 +27,16 @@
 // startup banner prints the restored configuration. To change a
 // node's sampler, point it at an empty -store.
 //
-// An aggregator serves GET /sample, GET /samplek, GET /stats and
-// GET /debug/vars: per query it revalidates every -nodes snapshot
-// against its cache (304 for unchanged nodes, a folded v2 delta for
-// churned ones) and answers with exactly the law one sampler would
-// have had on the union of the node streams. When every node's state
+// An aggregator serves GET /sample, GET /samplek and GET /stats: per
+// query it revalidates every -nodes snapshot against its cache (304
+// for unchanged nodes, a folded v2 delta for churned ones) and answers
+// with exactly the law one sampler would have had on the union of the
+// node streams. When every node's state
 // name is unchanged the query reuses the cached merge plan instead of
 // re-running the merge (DESIGN.md §9), and concurrent queries share
 // one in-flight fetch per node. -query-timeout bounds each query's
 // whole fan-out (0 = none); the cache, transfer and plan counters
-// serve on /debug/vars and print on shutdown.
+// serve as the tp_agg_* series on /metrics and print on shutdown.
 //
 // Both modes serve the observability surfaces (DESIGN.md §7):
 // GET /metrics (Prometheus text exposition; -metrics=false turns node
@@ -316,7 +316,7 @@ func runAggregator(addr, nodes string, seed uint64, queryTimeout time.Duration, 
 	return serveUntilSignal(addr, h, func() error {
 		// The shutdown summary an operator greps after a drain: how much
 		// the snapshot cache and the delta path saved this process
-		// (live values serve on GET /debug/vars).
+		// (live values serve on GET /metrics as tp_agg_*_total).
 		c := agg.Counters()
 		fmt.Printf("tpserve: aggregator counters: cache_hits=%d delta_fetches=%d full_fetches=%d bytes_fetched=%d plan_hits=%d plan_rebuilds=%d\n",
 			c.CacheHits, c.DeltaFetches, c.FullFetches, c.BytesFetched, c.PlanHits, c.PlanRebuilds)

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"net"
@@ -43,6 +44,7 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
 	gen := stream.NewGenerator(rng.New(7))
 	updates := gen.Zipf(universe, items, 1.3)
 
@@ -88,14 +90,14 @@ func main() {
 		for j := i; j < len(updates); j += nodes {
 			part = append(part, updates[j])
 		}
-		if _, err := serve.NewClient(urls[i]).Ingest(part); err != nil {
+		if _, err := serve.NewClient(urls[i]).Ingest(ctx, part); err != nil {
 			fail(err)
 		}
 	}
 
 	// --- global law through the aggregator --------------------------------
 	cl := serve.NewClient(aggURL)
-	resp, err := cl.SampleK(queries)
+	resp, err := cl.SampleK(ctx, queries)
 	if err != nil {
 		fail(err)
 	}
@@ -132,11 +134,11 @@ func main() {
 
 	// Both tiers serve their registries on GET /metrics in the
 	// Prometheus text format; print a few series.
-	nodeMet, err := serve.NewClient(urls[0]).Metrics()
+	nodeMet, err := serve.NewClient(urls[0]).Metrics(ctx)
 	if err != nil {
 		fail(err)
 	}
-	aggMet, err := cl.Metrics()
+	aggMet, err := cl.Metrics(ctx)
 	if err != nil {
 		fail(err)
 	}
@@ -163,7 +165,7 @@ func main() {
 	}
 	url, srv := listen(restored.Handler())
 	defer srv.Close()
-	st, err := serve.NewClient(url).Stats()
+	st, err := serve.NewClient(url).Stats(ctx)
 	if err != nil {
 		fail(err)
 	}
@@ -173,7 +175,7 @@ func main() {
 	// The aggregator keeps answering against the surviving fleet once the
 	// restored node takes the dead one's place.
 	agg2 := serve.NewAggregator(100, url, urls[1], urls[2])
-	merged, pools, err := agg2.Merge()
+	merged, pools, err := agg2.Merge(ctx)
 	if err != nil {
 		fail(err)
 	}

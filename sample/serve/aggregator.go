@@ -19,9 +19,10 @@ import (
 
 // Aggregator answers global sampling queries over a fleet of nodes
 // without holding any *sampler* state of its own. Per query it brings
-// every node's snapshot up to date, explodes coordinator checkpoints
-// into per-shard sampler states (shard.SamplerStates), and answers from
-// a snap.MergePlan over the union — so the answer's law is exactly the
+// every node's snapshot up to date (a changed node's checkpoint is
+// split into per-shard sampler states and their pools restored, once
+// per state name) and answers from a snap.MergePlan over the union of
+// those pools — so the answer's law is exactly the
 // law of one truly perfect sampler on the concatenation of every
 // node's stream, as of each node's snapshot instant.
 //
@@ -53,10 +54,10 @@ import (
 //     states, so the unchanged nodes' pools are shared, not restored
 //     again.
 //
-// Counters/GET /debug/vars expose the hit and transfer counters that
-// quantify both trades, and GET /metrics serves the full registry
-// (per-node fetch latency, plan rebuild duration, the same cache
-// counters) in the Prometheus text format.
+// GET /metrics serves the hit and transfer counters that quantify both
+// trades (the tp_agg_* series, also read in-process through Counters)
+// beside the rest of the registry — per-node fetch latency, plan
+// rebuild duration — in the Prometheus text format.
 //
 // Freshness: every query still revalidates every node. Concurrent
 // queries needing the same node share one in-flight fetch
@@ -199,7 +200,7 @@ func (a *Aggregator) Nodes() []string { return append([]string(nil), a.urls...) 
 func (a *Aggregator) Metrics() *obs.Registry { return a.reg }
 
 // Counters returns a point-in-time copy of the cache/transfer/plan
-// counters.
+// counters: the same counters GET /metrics serves as tp_agg_*_total.
 func (a *Aggregator) Counters() AggregatorCounters {
 	return AggregatorCounters{
 		CacheHits:    a.met.hits.Value(),
@@ -219,7 +220,6 @@ func (a *Aggregator) Counters() AggregatorCounters {
 //	GET /metrics     Prometheus text exposition of the registry
 //	GET /healthz     liveness (always 200)
 //	GET /readyz      readiness (200, or 503 with a reason)
-//	GET /debug/vars  cache/transfer counters as expvar-shaped JSON
 //
 // Every request is wrapped by the tracing middleware: an incoming
 // X-Request-ID is adopted (else one is generated), echoed on the
@@ -231,7 +231,6 @@ func (a *Aggregator) Handler() http.Handler {
 	mux.HandleFunc("GET /sample", a.handleSample)
 	mux.HandleFunc("GET /samplek", a.handleSampleK)
 	mux.HandleFunc("GET /stats", a.handleStats)
-	mux.HandleFunc("GET /debug/vars", a.handleVars)
 	mux.Handle("GET /metrics", a.reg.Handler())
 	mux.HandleFunc("GET /healthz", a.health.Liveness)
 	mux.HandleFunc("GET /readyz", a.health.Readiness)
@@ -253,17 +252,6 @@ func (a *Aggregator) handleSampleK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a.handleSample(w, r)
-}
-
-// handleVars preserves the pre-registry expvar surface: the same
-// counters GET /metrics serves, rendered in the exact JSON shape the
-// old expvar.Map produced (alphabetical keys under "aggregator").
-func (a *Aggregator) handleVars(w http.ResponseWriter, r *http.Request) {
-	c := a.Counters()
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w,
-		"{\"aggregator\": {\"bytes_fetched\": %d, \"cache_hits\": %d, \"delta_fetches\": %d, \"full_fetches\": %d}}\n",
-		c.BytesFetched, c.CacheHits, c.DeltaFetches, c.FullFetches)
 }
 
 func (a *Aggregator) answer(w http.ResponseWriter, r *http.Request, k int) {
@@ -339,16 +327,11 @@ func (e *nodeFetchError) Unwrap() error { return e.err }
 // is the number of per-shard states the mixture spans. It is exported
 // for in-process callers (benchmarks, embedding applications) that
 // want the merged sampler itself rather than one HTTP answer from it.
-func (a *Aggregator) Merge() (*snap.Merged, int, error) {
-	return a.MergeContext(context.Background())
-}
-
-// MergeContext is Merge under a context: cancellation applies to every
-// node fetch, and a tracing ID in ctx (obs.ContextWithRequestID — the
-// HTTP answer path passes its request's context) rides the fan-out as
-// X-Request-ID on each node fetch. The merged sampler is a seeded view
-// over the same cached merge plan the HTTP answer path draws from.
-func (a *Aggregator) MergeContext(ctx context.Context) (*snap.Merged, int, error) {
+// Cancellation of ctx applies to every node fetch, and a tracing ID in
+// ctx (obs.ContextWithRequestID) rides the fan-out as X-Request-ID on
+// each node fetch. The merged sampler is a seeded view over the same
+// cached merge plan the HTTP answer path draws from.
+func (a *Aggregator) Merge(ctx context.Context) (*snap.Merged, int, error) {
 	plan, pools, err := a.queryPlan(ctx)
 	if err != nil {
 		return nil, 0, err
@@ -500,7 +483,7 @@ func (a *Aggregator) refresh(ctx context.Context, i int, c *nodeCache) (*nodeCut
 	c.mu.Lock()
 	since, cached := c.name, c.cut
 	c.mu.Unlock()
-	res, err := a.clients[i].SnapshotSinceContext(ctx, since)
+	res, err := a.clients[i].SnapshotSince(ctx, since)
 	if err != nil {
 		return nil, "", a.classify(i, err)
 	}
@@ -552,7 +535,7 @@ func fold(cached *nodeCut, since string, delta []byte) (nodeCut, string, error) 
 // fetchFull unconditionally fetches node i's full snapshot and
 // installs it in the cache.
 func (a *Aggregator) fetchFull(ctx context.Context, i int, c *nodeCache) (*nodeCut, string, error) {
-	res, err := a.clients[i].SnapshotSinceContext(ctx, "")
+	res, err := a.clients[i].SnapshotSince(ctx, "")
 	if err != nil {
 		return nil, "", a.classify(i, err)
 	}
@@ -635,7 +618,7 @@ func (a *Aggregator) handleStats(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			rows[i] = NodeStatus{URL: a.urls[i]}
-			st, err := c.StatsContext(r.Context())
+			st, err := c.Stats(r.Context())
 			if err != nil {
 				rows[i].Error = err.Error()
 				return
@@ -650,5 +633,5 @@ func (a *Aggregator) handleStats(w http.ResponseWriter, r *http.Request) {
 			total += row.Stats.StreamLen
 		}
 	}
-	writeJSON(w, http.StatusOK, AggregatorStats{Nodes: rows, StreamLen: total, Counters: a.Counters()})
+	writeJSON(w, http.StatusOK, AggregatorStats{Nodes: rows, StreamLen: total})
 }

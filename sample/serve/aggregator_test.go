@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -57,10 +58,10 @@ func TestAggregatorGlobalSample(t *testing.T) {
 	urlB, clB := startNode(t, func() *shard.Coordinator {
 		return shard.NewLp(1.5, 32, int64(len(items))+1, 0.1, 2, shard.Config{Shards: 2, Queries: 4})
 	})
-	if _, err := clA.Ingest(parts[0]); err != nil {
+	if _, err := clA.Ingest(context.Background(), parts[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clB.Ingest(parts[1]); err != nil {
+	if _, err := clB.Ingest(context.Background(), parts[1]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,7 +70,7 @@ func TestAggregatorGlobalSample(t *testing.T) {
 	defer aggSrv.Close()
 	cl := NewClient(aggSrv.URL)
 
-	resp, err := cl.SampleK(4)
+	resp, err := cl.SampleK(context.Background(), 4)
 	if err != nil {
 		t.Fatalf("aggregator SampleK: %v", err)
 	}
@@ -94,12 +95,12 @@ func TestAggregatorGlobalSample(t *testing.T) {
 	} else if httpResp.Body.Close(); httpResp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("/samplek without k: %d, want 400", httpResp.StatusCode)
 	}
-	if _, err := cl.Sample(); err != nil {
+	if _, err := cl.SampleK(context.Background(), 1); err != nil {
 		t.Fatalf("aggregator /sample: %v", err)
 	}
 
 	// Aggregator stats see both nodes and the summed mass.
-	stats, err := cl.AggregatorStats()
+	stats, err := cl.AggregatorStats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestAggregatorNodeDown(t *testing.T) {
 	urlA, clA := startNode(t, func() *shard.Coordinator {
 		return shard.NewL1(0.1, 1, shard.Config{Shards: 2})
 	})
-	if _, err := clA.Ingest([]int64{1, 2, 3}); err != nil {
+	if _, err := clA.Ingest(context.Background(), []int64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	dead := httptest.NewServer(http.NotFoundHandler())
@@ -234,11 +235,11 @@ func TestAggregatorMixedFleet(t *testing.T) {
 	urlA, clA := startNode(t, func() *shard.Coordinator {
 		return shard.NewL1(0.1, 1, shard.Config{Shards: 2})
 	})
-	if _, err := clA.Ingest([]int64{5, 5, 5, 5, 5, 5}); err != nil {
+	if _, err := clA.Ingest(context.Background(), []int64{5, 5, 5, 5, 5, 5}); err != nil {
 		t.Fatal(err)
 	}
 	agg := NewAggregator(7, urlA, snapshotOnly(t, data))
-	merged, pools, err := agg.Merge()
+	merged, pools, err := agg.Merge(context.Background())
 	if err != nil {
 		t.Fatalf("mixed merge: %v", err)
 	}
@@ -264,10 +265,10 @@ func TestAggregatorParameterMismatch(t *testing.T) {
 	urlB, clB := startNode(t, func() *shard.Coordinator {
 		return shard.NewLp(1.5, 64, 1000, 0.1, 2, shard.Config{Shards: 2})
 	})
-	if _, err := clA.Ingest([]int64{1}); err != nil {
+	if _, err := clA.Ingest(context.Background(), []int64{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clB.Ingest([]int64{2}); err != nil {
+	if _, err := clB.Ingest(context.Background(), []int64{2}); err != nil {
 		t.Fatal(err)
 	}
 	agg := NewAggregator(5, urlA, urlB)

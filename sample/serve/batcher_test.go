@@ -9,6 +9,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -27,14 +28,14 @@ import (
 
 func TestIngestBinaryHTTP(t *testing.T) {
 	_, _, cl := newTestNode(t, NodeConfig{})
-	ack, err := cl.IngestBinary([]int64{4, 4, 4, 4, 9})
+	ack, err := cl.IngestBinary(context.Background(), []int64{4, 4, 4, 4, 9})
 	if err != nil {
 		t.Fatalf("IngestBinary: %v", err)
 	}
 	if ack.Accepted != 5 || ack.StreamLen != 5 {
 		t.Fatalf("ack = %+v, want 5/5", ack)
 	}
-	resp, err := cl.Sample()
+	resp, err := cl.SampleK(context.Background(), 1)
 	if err != nil {
 		t.Fatalf("Sample: %v", err)
 	}
@@ -79,7 +80,7 @@ func TestIngestBinaryMalformed(t *testing.T) {
 		postHostile(t, srv.URL)
 		// A good batch after the hostile ones: the stream must hold
 		// exactly its items — a leaked partial frame would inflate it.
-		ack, err := cl.IngestBinary([]int64{8, 9})
+		ack, err := cl.IngestBinary(context.Background(), []int64{8, 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func TestIngestBinaryMalformed(t *testing.T) {
 		good := make(chan result, 1)
 		n.ingestMu.Lock()
 		go func() {
-			ack, err := cl.IngestBinary([]int64{8, 9})
+			ack, err := cl.IngestBinary(context.Background(), []int64{8, 9})
 			good <- result{ack, err}
 		}()
 		waitPending(t, n, 1)
@@ -136,7 +137,7 @@ func TestIngestBinaryOversizedCoalesced(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
 	}
-	ack, err := cl.IngestBinary([]int64{1, 2, 3})
+	ack, err := cl.IngestBinary(context.Background(), []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +185,12 @@ func TestGroupRejectsOnlyTheBadWriter(t *testing.T) {
 	bad, good := make(chan result, 1), make(chan result, 1)
 	n.ingestMu.Lock()
 	go func() {
-		ack, err := cl.Ingest([]int64{7, -1})
+		ack, err := cl.Ingest(context.Background(), []int64{7, -1})
 		bad <- result{ack, err}
 	}()
 	waitPending(t, n, 1)
 	go func() {
-		ack, err := cl.Ingest([]int64{5, 9, 2})
+		ack, err := cl.Ingest(context.Background(), []int64{5, 9, 2})
 		good <- result{ack, err}
 	}()
 	waitPending(t, n, 2)
@@ -249,9 +250,9 @@ func TestGroupedIngestMatchesSequential(t *testing.T) {
 					// Mixed codecs: the group carries both.
 					var err error
 					if i%2 == 0 {
-						_, err = cl.IngestBinary(part)
+						_, err = cl.IngestBinary(context.Background(), part)
 					} else {
-						_, err = cl.Ingest(part)
+						_, err = cl.Ingest(context.Background(), part)
 					}
 					errs <- err
 				}()
@@ -268,7 +269,7 @@ func TestGroupedIngestMatchesSequential(t *testing.T) {
 					t.Fatalf("twin ingest: %v", errs)
 				}
 			}
-			text, err := cl.Metrics()
+			text, err := cl.Metrics(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,9 +313,9 @@ func TestCoalescedIngestConcurrent(t *testing.T) {
 				var ack IngestResponse
 				var err error
 				if w%2 == 0 {
-					ack, err = cl.IngestBinary(items)
+					ack, err = cl.IngestBinary(context.Background(), items)
 				} else {
-					ack, err = cl.Ingest(items)
+					ack, err = cl.Ingest(context.Background(), items)
 				}
 				if err != nil {
 					errs <- err
@@ -335,7 +336,7 @@ func TestCoalescedIngestConcurrent(t *testing.T) {
 	if got, want := n.StreamLen(), int64(writers*reqs*per); got != want {
 		t.Fatalf("stream mass %d after concurrent coalesced ingest, want %d", got, want)
 	}
-	text, err := cl.Metrics()
+	text, err := cl.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func TestCoalescedCloseDrain(t *testing.T) {
 	if ack.Accepted != 3 || ack.StreamLen != 3 {
 		t.Fatalf("drained ack %+v, want 3/3", ack)
 	}
-	if _, err := cl.IngestBinary([]int64{9}); err == nil {
+	if _, err := cl.IngestBinary(context.Background(), []int64{9}); err == nil {
 		t.Fatal("ingest after Close was acknowledged")
 	}
 

@@ -60,30 +60,16 @@ func (c *Client) newRequest(ctx context.Context, method, url string, body io.Rea
 	return req, nil
 }
 
-// Ingest posts one batch of updates and returns the node's
-// acknowledgement.
-func (c *Client) Ingest(items []int64) (IngestResponse, error) {
-	return c.IngestContext(context.Background(), items)
-}
-
-// IngestContext is Ingest under a context: cancellation applies and a
-// tracing ID in ctx rides the request (see newRequest).
-func (c *Client) IngestContext(ctx context.Context, items []int64) (IngestResponse, error) {
+// Ingest posts one batch of updates as JSON and returns the node's
+// acknowledgement. Cancellation of ctx applies, and a tracing ID in
+// ctx rides the request (see newRequest); every Client method works
+// this way.
+func (c *Client) Ingest(ctx context.Context, items []int64) (IngestResponse, error) {
 	body, err := json.Marshal(IngestRequest{Items: items})
 	if err != nil {
 		return IngestResponse{}, err
 	}
-	req, err := c.newRequest(ctx, http.MethodPost, c.Base+"/ingest", bytes.NewReader(body))
-	if err != nil {
-		return IngestResponse{}, fmt.Errorf("serve: ingest %s: %w", c.Base, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return IngestResponse{}, fmt.Errorf("serve: ingest %s: %w", c.Base, err)
-	}
-	var out IngestResponse
-	return out, decodeResponse(resp, &out)
+	return c.postIngest(ctx, body, ContentTypeJSON)
 }
 
 // IngestBinary posts one batch as the binary item frame
@@ -91,18 +77,17 @@ func (c *Client) IngestContext(ctx context.Context, items []int64) (IngestRespon
 // pass with no JSON marshalling, and the node decodes it with zero
 // intermediate slices straight into the engine batch. The
 // acknowledgement contract is identical to Ingest's.
-func (c *Client) IngestBinary(items []int64) (IngestResponse, error) {
-	return c.IngestBinaryContext(context.Background(), items)
+func (c *Client) IngestBinary(ctx context.Context, items []int64) (IngestResponse, error) {
+	return c.postIngest(ctx, wire.EncodeItems(items), ContentTypeBinary)
 }
 
-// IngestBinaryContext is IngestBinary under a context (see
-// IngestContext).
-func (c *Client) IngestBinaryContext(ctx context.Context, items []int64) (IngestResponse, error) {
-	req, err := c.newRequest(ctx, http.MethodPost, c.Base+"/ingest", bytes.NewReader(wire.EncodeItems(items)))
+// postIngest posts one encoded batch under the given content type.
+func (c *Client) postIngest(ctx context.Context, body []byte, contentType string) (IngestResponse, error) {
+	req, err := c.newRequest(ctx, http.MethodPost, c.Base+"/ingest", bytes.NewReader(body))
 	if err != nil {
 		return IngestResponse{}, fmt.Errorf("serve: ingest %s: %w", c.Base, err)
 	}
-	req.Header.Set("Content-Type", ContentTypeBinary)
+	req.Header.Set("Content-Type", contentType)
 	resp, err := c.http().Do(req)
 	if err != nil {
 		return IngestResponse{}, fmt.Errorf("serve: ingest %s: %w", c.Base, err)
@@ -111,50 +96,29 @@ func (c *Client) IngestBinaryContext(ctx context.Context, items []int64) (Ingest
 	return out, decodeResponse(resp, &out)
 }
 
-// Sample draws one merged sample.
-func (c *Client) Sample() (SampleResponse, error) { return c.SampleK(1) }
-
 // SampleK draws up to k mutually independent merged samples (k is
 // clamped server-side to the provisioned query-group count).
-func (c *Client) SampleK(k int) (SampleResponse, error) {
-	return c.SampleKContext(context.Background(), k)
-}
-
-// SampleKContext is SampleK under a context (see IngestContext).
-func (c *Client) SampleKContext(ctx context.Context, k int) (SampleResponse, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/sample?k="+strconv.Itoa(k), nil)
-	if err != nil {
-		return SampleResponse{}, fmt.Errorf("serve: sample %s: %w", c.Base, err)
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return SampleResponse{}, fmt.Errorf("serve: sample %s: %w", c.Base, err)
-	}
+func (c *Client) SampleK(ctx context.Context, k int) (SampleResponse, error) {
 	var out SampleResponse
-	return out, decodeResponse(resp, &out)
+	return out, c.getJSON(ctx, "/sample?k="+strconv.Itoa(k), &out)
 }
 
 // Stats fetches a node's stats.
-func (c *Client) Stats() (NodeStats, error) {
-	return c.StatsContext(context.Background())
-}
-
-// StatsContext is Stats under a context (see IngestContext).
-func (c *Client) StatsContext(ctx context.Context) (NodeStats, error) {
+func (c *Client) Stats(ctx context.Context) (NodeStats, error) {
 	var out NodeStats
 	return out, c.getJSON(ctx, "/stats", &out)
 }
 
 // AggregatorStats fetches an aggregator's stats.
-func (c *Client) AggregatorStats() (AggregatorStats, error) {
+func (c *Client) AggregatorStats(ctx context.Context) (AggregatorStats, error) {
 	var out AggregatorStats
-	return out, c.getJSON(context.Background(), "/stats", &out)
+	return out, c.getJSON(ctx, "/stats", &out)
 }
 
 // Metrics fetches the server's Prometheus text exposition — what a
 // scraper sees on GET /metrics.
-func (c *Client) Metrics() (string, error) {
-	req, err := c.newRequest(context.Background(), http.MethodGet, c.Base+"/metrics", nil)
+func (c *Client) Metrics(ctx context.Context) (string, error) {
+	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/metrics", nil)
 	if err != nil {
 		return "", fmt.Errorf("serve: metrics %s: %w", c.Base, err)
 	}
@@ -186,16 +150,6 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	return decodeResponse(resp, out)
 }
 
-// Snapshot fetches the node's current checkpoint: the raw v1 wire
-// bytes plus the content-addressed name the node advertised.
-func (c *Client) Snapshot() (data []byte, name string, err error) {
-	res, err := c.SnapshotSince("")
-	if err != nil {
-		return nil, "", err
-	}
-	return res.Data, res.Name, nil
-}
-
 // SnapshotResult is one answer from SnapshotSince.
 type SnapshotResult struct {
 	// Data is the response body: full v1 snapshot bytes, or a v2 delta
@@ -214,20 +168,15 @@ type SnapshotResult struct {
 
 // SnapshotSince fetches the node's current checkpoint conditionally:
 // since (a content-addressed name from an earlier fetch, or "" for an
-// unconditional fetch) rides both as ?since= and as If-None-Match, so
-// an unchanged node answers 304 with no body — one header round-trip —
-// and a delta-capable node that still holds the since state answers
-// with just the v2 delta (Base set). Peers that speak neither answer
-// with a plain full snapshot; callers need no capability negotiation.
-func (c *Client) SnapshotSince(since string) (SnapshotResult, error) {
-	return c.SnapshotSinceContext(context.Background(), since)
-}
-
-// SnapshotSinceContext is SnapshotSince under a context (see
-// IngestContext). The aggregator's fan-out calls this with the
-// querying request's context, which is how one client query's tracing
-// ID shows up in every node's request log.
-func (c *Client) SnapshotSinceContext(ctx context.Context, since string) (SnapshotResult, error) {
+// unconditional fetch of the raw v1 bytes and their name) rides both
+// as ?since= and as If-None-Match, so an unchanged node answers 304
+// with no body — one header round-trip — and a delta-capable node that
+// still holds the since state answers with just the v2 delta (Base
+// set). Peers that speak neither answer with a plain full snapshot;
+// callers need no capability negotiation. The aggregator's fan-out
+// passes each query's context, which is how one client query's
+// tracing ID shows up in every node's request log.
+func (c *Client) SnapshotSince(ctx context.Context, since string) (SnapshotResult, error) {
 	u := c.Base + "/snapshot"
 	if since != "" {
 		u += "?since=" + url.QueryEscape(since)

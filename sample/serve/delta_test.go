@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
 	"os"
@@ -60,11 +61,8 @@ func TestDeltaCheckpointChain(t *testing.T) {
 	if deltaSize >= fullSize {
 		t.Fatalf("delta checkpoint (%d bytes) not smaller than full (%d bytes)", deltaSize, fullSize)
 	}
-	n.statsMu.Lock()
-	ckpts, deltaCkpts := n.ckpts, n.deltaCkpts
-	n.statsMu.Unlock()
-	if ckpts != 6 || deltaCkpts != 4 {
-		t.Fatalf("stats report %d/%d checkpoints, want 6 total / 4 deltas", ckpts, deltaCkpts)
+	if st := n.stats.Load(); st.count != 6 || st.deltas != 4 {
+		t.Fatalf("stats report %d/%d checkpoints, want 6 total / 4 deltas", st.count, st.deltas)
 	}
 	n.Coordinator().Close() // crash
 	restored, skipped, err := Restore(store, NodeConfig{})
@@ -185,7 +183,7 @@ func TestSnapshotConditionalFetch(t *testing.T) {
 	cl := NewClient(srv.URL)
 
 	n.Coordinator().ProcessBatch([]int64{1, 2, 3})
-	first, err := cl.SnapshotSince("")
+	first, err := cl.SnapshotSince(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +195,7 @@ func TestSnapshotConditionalFetch(t *testing.T) {
 	}
 
 	// Unchanged: one header round-trip.
-	same, err := cl.SnapshotSince(first.Name)
+	same, err := cl.SnapshotSince(context.Background(), first.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +205,7 @@ func TestSnapshotConditionalFetch(t *testing.T) {
 
 	// Changed, known base: a delta.
 	n.Coordinator().ProcessBatch([]int64{4, 5})
-	d, err := cl.SnapshotSince(first.Name)
+	d, err := cl.SnapshotSince(context.Background(), first.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +225,7 @@ func TestSnapshotConditionalFetch(t *testing.T) {
 
 	// Changed, unknown base: degrades to a full snapshot.
 	n.Coordinator().Process(6)
-	f, err := cl.SnapshotSince("coordinator-00000000deadbeef.tpsn")
+	f, err := cl.SnapshotSince(context.Background(), "coordinator-00000000deadbeef.tpsn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +254,7 @@ func TestAggregatorSnapshotCache(t *testing.T) {
 
 	query := func() {
 		t.Helper()
-		merged, pools, err := agg.Merge()
+		merged, pools, err := agg.Merge(context.Background())
 		if err != nil {
 			t.Fatalf("Merge: %v", err)
 		}
@@ -305,7 +303,7 @@ func TestSnapshotSinceOldestBase(t *testing.T) {
 	cl := NewClient(srv.URL)
 
 	n.Coordinator().ProcessBatch([]int64{1, 2, 3, 4})
-	oldest, err := cl.SnapshotSince("")
+	oldest, err := cl.SnapshotSince(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +312,7 @@ func TestSnapshotSinceOldestBase(t *testing.T) {
 	// with its decoded form.
 	for i := 1; i < snapshotBaseHistory; i++ {
 		n.Coordinator().Process(int64(10 + i))
-		res, err := cl.SnapshotSince(prev)
+		res, err := cl.SnapshotSince(context.Background(), prev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +333,7 @@ func TestSnapshotSinceOldestBase(t *testing.T) {
 	}
 
 	n.Coordinator().Process(99)
-	d, err := cl.SnapshotSince(oldest.Name)
+	d, err := cl.SnapshotSince(context.Background(), oldest.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -19,20 +20,21 @@ func ExampleNewNode() {
 	srv := httptest.NewServer(node.Handler())
 	defer srv.Close()
 
+	ctx := context.Background()
 	cl := serve.NewClient(srv.URL)
-	ack, err := cl.Ingest([]int64{7, 7, 7, 7, 7, 7})
+	ack, err := cl.Ingest(ctx, []int64{7, 7, 7, 7, 7, 7})
 	if err != nil {
 		panic(err)
 	}
-	resp, err := cl.Sample()
+	resp, err := cl.SampleK(ctx, 1)
 	if err != nil {
 		panic(err)
 	}
-	data, _, err := cl.Snapshot()
+	snapshot, err := cl.SnapshotSince(ctx, "")
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(ack.Accepted, resp.Outcomes[0].Item, shard.IsCoordinatorSnapshot(data))
+	fmt.Println(ack.Accepted, resp.Outcomes[0].Item, shard.IsCoordinatorSnapshot(snapshot.Data))
 	// Output:
 	// 6 7 true
 }
@@ -42,6 +44,7 @@ func ExampleNewNode() {
 // sampler would have on the union stream — here a single-item union,
 // so the answer (and this output) is deterministic.
 func ExampleNewAggregator() {
+	ctx := context.Background()
 	var urls []string
 	for seed := uint64(1); seed <= 2; seed++ {
 		node := serve.NewNode(shard.NewL1(0.05, seed, shard.Config{Shards: 2}), serve.NodeConfig{})
@@ -49,7 +52,7 @@ func ExampleNewAggregator() {
 		srv := httptest.NewServer(node.Handler())
 		defer srv.Close()
 		urls = append(urls, srv.URL)
-		if _, err := serve.NewClient(srv.URL).Ingest([]int64{9, 9, 9, 9}); err != nil {
+		if _, err := serve.NewClient(srv.URL).Ingest(ctx, []int64{9, 9, 9, 9}); err != nil {
 			panic(err)
 		}
 	}
@@ -57,7 +60,7 @@ func ExampleNewAggregator() {
 	aggSrv := httptest.NewServer(agg.Handler())
 	defer aggSrv.Close()
 
-	resp, err := serve.NewClient(aggSrv.URL).Sample()
+	resp, err := serve.NewClient(aggSrv.URL).SampleK(ctx, 1)
 	if err != nil {
 		panic(err)
 	}

@@ -215,10 +215,9 @@ func (m *nodeMetrics) restored(d time.Duration, skipped int) {
 	m.restoreSkipped.Add(int64(skipped))
 }
 
-// aggMetrics is the per-aggregator bundle. The cache/transfer counters
-// (hits, deltas, fulls, bytesFetched) migrated here from bare expvar
-// vars; GET /debug/vars keeps rendering the same JSON shape from them
-// (see Aggregator.handleVars).
+// aggMetrics is the per-aggregator bundle. Aggregator.Counters reads
+// the cache/transfer/plan counters from it, so the typed accessor and
+// GET /metrics cannot disagree.
 type aggMetrics struct {
 	reg          *obs.Registry
 	queries      *obs.Counter

@@ -144,12 +144,11 @@ func (cfg NodeConfig) fullEvery() int {
 //   - ckptMu → mu (read) → cutMu → the engine's own locks: Checkpoint
 //     cuts under the node lock, GET /snapshot enters the chain at mu,
 //     and Close's final cut skips mu, which is closed by then;
-//   - ckptMu → statsMu and ckptMu → basesMu: a checkpoint write
-//     records its outcome and its base.
+//   - ckptMu → basesMu: a checkpoint write records its base.
 //
-// batcher.mu, statsMu and basesMu are leaves, held only for
-// bookkeeping and never across I/O. Handlers take mu (read) around
-// engine work only, and /stats reads statsMu before it; Close takes
+// batcher.mu and basesMu are leaves, held only for bookkeeping and
+// never across I/O. Handlers take mu (read) around engine work only;
+// /stats loads the checkpoint stats with no lock at all. Close takes
 // ingestMu (draining the batcher), then mu for writing, then ckptMu
 // for the final checkpoint, one at a time.
 type Node struct {
@@ -200,7 +199,7 @@ type Node struct {
 	// deliberately, since abandoning that write would forfeit the
 	// lossless-shutdown guarantee (see SnapshotStore on bounding store
 	// calls). Monitoring must not share that fate, so the /stats
-	// counters live under statsMu instead.
+	// counters live in stats instead.
 	ckptMu      sync.Mutex
 	seq         uint64
 	seqSeeded   bool   // seq accounts for pre-existing store names
@@ -216,14 +215,10 @@ type Node struct {
 	cutData  []byte
 	cutName  string
 
-	// statsMu guards the monitoring copies read by /stats; writers hold
-	// ckptMu first, but statsMu is never held across I/O, so a hung
-	// store write cannot dark monitoring.
-	statsMu    sync.Mutex
-	ckpts      int64
-	deltaCkpts int64
-	lastName   string
-	lastErr    error
+	// stats is the checkpoint outcome /stats reports, swapped whole
+	// (see setStats). /stats loads it without a lock, so a hung store
+	// write cannot dark monitoring.
+	stats atomic.Pointer[checkpointStats]
 
 	// basesMu guards the ring of recent full-snapshot states kept to
 	// serve /snapshot?since= deltas (see snapshotBaseHistory), held only
@@ -278,7 +273,7 @@ func newNodeFromEngine(eng engine, cfg NodeConfig) *Node {
 		// an unseeded (shadowed) sequence number.
 		n.ckptMu.Lock()
 		if err := n.seedSeq(); err != nil {
-			n.setStats(func() { n.lastErr = err })
+			n.setStats(func(st *checkpointStats) { st.lastErr = err })
 		}
 		n.ckptMu.Unlock()
 	}
@@ -385,7 +380,7 @@ func Restore(store SnapshotStore, cfg NodeConfig) (*Node, []SkippedCheckpoint, e
 		// content hash, not write order, breaking the Latest contract).
 		n.seq = maxSeq + 1
 		n.seqSeeded = true
-		n.lastName = stored
+		n.stats.Store(&checkpointStats{lastName: stored})
 		n.lastContent = snap.Name(state)
 		n.lastBytes = state
 		n.chain = chain
@@ -524,6 +519,7 @@ func newNode(eng engine, cfg NodeConfig) *Node {
 		done:   make(chan struct{}),
 	}
 	n.batch = &batcher{node: n}
+	n.stats.Store(&checkpointStats{})
 	if !cfg.DisableObservability {
 		n.met = newNodeMetrics(n.reg)
 		if n.cfg.Store != nil {
@@ -649,19 +645,16 @@ func (n *Node) checkpoint(cut func() ([]byte, string, *shard.CoordinatorState, e
 	}
 	n.ckptMu.Lock()
 	defer n.ckptMu.Unlock()
-	// Reading lastName/ckpts under ckptMu alone is safe — every writer
-	// holds ckptMu — but writes also take statsMu so /stats (which holds
-	// only statsMu) never waits behind a store write.
 	tCut := time.Now()
 	data, content, state, err := cut()
 	n.met.checkpointCut(time.Since(tCut))
 	if err == nil {
-		if content == n.lastContent && n.lastName != "" {
+		if last := n.stats.Load().lastName; content == n.lastContent && last != "" {
 			// Unchanged state, already durably stored: that is a
 			// checkpoint success, so a stale earlier failure must not
 			// keep alarming /stats.
-			n.setStats(func() { n.lastErr = nil })
-			return n.lastName, nil
+			n.setStats(func(st *checkpointStats) { st.lastErr = nil })
+			return last, nil
 		}
 		// Never write before the sequence accounts for what the store
 		// already holds (seedSeq no-ops once it has succeeded): a write
@@ -694,20 +687,20 @@ func (n *Node) checkpoint(cut func() ([]byte, string, *shard.CoordinatorState, e
 				n.chain = 0
 			}
 			n.rememberBase(content, data, nil)
-			n.setStats(func() {
-				n.ckpts++
+			n.setStats(func(st *checkpointStats) {
+				st.count++
 				if isDelta {
-					n.deltaCkpts++
+					st.deltas++
 				}
-				n.lastName = name
-				n.lastErr = nil
+				st.lastName = name
+				st.lastErr = nil
 			})
 			n.prune()
 			return name, nil
 		}
 	}
 	n.met.checkpointDone(false, err)
-	n.setStats(func() { n.lastErr = err })
+	n.setStats(func(st *checkpointStats) { st.lastErr = err })
 	return "", err
 }
 
@@ -765,13 +758,24 @@ func (n *Node) baseFor(name string) (servedBase, bool) {
 	return servedBase{}, false
 }
 
-// setStats runs a mutation of the statsMu-guarded monitoring fields.
-// Callers hold ckptMu; statsMu is held only for the assignment, never
-// across I/O.
-func (n *Node) setStats(f func()) {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	f()
+// checkpointStats is the checkpoint outcome /stats reports, immutable
+// once stored in Node.stats. count counts successful checkpoint writes
+// and deltas how many of them were v2 deltas; lastName is the stored
+// name of the newest one and lastErr the most recent failure, cleared
+// by the next success.
+type checkpointStats struct {
+	count, deltas int64
+	lastName      string
+	lastErr       error
+}
+
+// setStats publishes a changed copy of the checkpoint stats. Callers
+// hold ckptMu, which every writer takes, so the load-copy-store cannot
+// lose an update.
+func (n *Node) setStats(f func(*checkpointStats)) {
+	st := *n.stats.Load()
+	f(&st)
+	n.stats.Store(&st)
 }
 
 // prune enforces the KeepCheckpoints retention after a successful
@@ -793,7 +797,7 @@ func (n *Node) prune() {
 	}
 	names, err := n.cfg.Store.Names()
 	if err != nil {
-		n.setStats(func() { n.lastErr = err })
+		n.setStats(func(st *checkpointStats) { st.lastErr = err })
 		return
 	}
 	var seqs []string
@@ -808,7 +812,7 @@ func (n *Node) prune() {
 	}
 	for _, name := range seqs[:cut] {
 		if err := n.cfg.Store.Remove(name); err != nil {
-			n.setStats(func() { n.lastErr = err })
+			n.setStats(func(st *checkpointStats) { st.lastErr = err })
 		}
 	}
 }
@@ -1133,14 +1137,10 @@ func toWire(outs []sample.Outcome) []OutcomeJSON {
 }
 
 func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Checkpoint stats are read under statsMu — never ckptMu, which is
-	// held across store writes (a hung store must not dark monitoring),
-	// and read BEFORE the node lock (nesting checkpoint locks inside
-	// locked would invert the ckptMu → mu order checkpoint cuts use,
-	// and with a Close writer pending that inversion deadlocks).
-	n.statsMu.Lock()
-	ckpts, deltaCkpts, lastName, lastErr := n.ckpts, n.deltaCkpts, n.lastName, n.lastErr
-	n.statsMu.Unlock()
+	// Checkpoint stats are one lock-free load — never ckptMu, which is
+	// held across store writes (a hung store must not dark monitoring)
+	// and precedes mu in the lock order.
+	ckpt := n.stats.Load()
 	var st NodeStats
 	err := n.locked(func() error {
 		st = NodeStats{
@@ -1149,17 +1149,17 @@ func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 			Trials:           n.eng.Trials(),
 			Queries:          n.eng.Queries(),
 			StreamLen:        n.eng.StreamLen(),
-			Checkpoints:      ckpts,
-			DeltaCheckpoints: deltaCkpts,
-			LastCheckpoint:   lastName,
+			Checkpoints:      ckpt.count,
+			DeltaCheckpoints: ckpt.deltas,
+			LastCheckpoint:   ckpt.lastName,
 		}
 		// BitsUsed drains the workers; keep it off the default polling
 		// path (see NodeStats.Bits).
 		if r.URL.Query().Get("drain") == "1" {
 			st.Bits = n.eng.BitsUsed()
 		}
-		if lastErr != nil {
-			st.LastCheckpointError = lastErr.Error()
+		if ckpt.lastErr != nil {
+			st.LastCheckpointError = ckpt.lastErr.Error()
 		}
 		return nil
 	})

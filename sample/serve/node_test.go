@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,14 +29,14 @@ func newTestNode(t *testing.T, cfg NodeConfig) (*Node, *httptest.Server, *Client
 
 func TestIngestAndSampleHTTP(t *testing.T) {
 	_, _, cl := newTestNode(t, NodeConfig{})
-	ack, err := cl.Ingest([]int64{4, 4, 4, 4, 9})
+	ack, err := cl.Ingest(context.Background(), []int64{4, 4, 4, 4, 9})
 	if err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
 	if ack.Accepted != 5 || ack.StreamLen != 5 {
 		t.Fatalf("ack = %+v, want 5/5", ack)
 	}
-	resp, err := cl.Sample()
+	resp, err := cl.SampleK(context.Background(), 1)
 	if err != nil {
 		t.Fatalf("Sample: %v", err)
 	}
@@ -72,7 +73,7 @@ func TestIngestMalformed(t *testing.T) {
 	}
 	// Malformed batches must not have ingested anything.
 	cl := NewClient(srv.URL)
-	st, err := cl.Stats()
+	st, err := cl.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +117,14 @@ func TestSnapshotRoundTripHTTP(t *testing.T) {
 	items := gen.Zipf(64, 2000, 1.2)
 
 	n, _, cl := newTestNode(t, NodeConfig{})
-	if _, err := cl.Ingest(items[:1000]); err != nil {
+	if _, err := cl.Ingest(context.Background(), items[:1000]); err != nil {
 		t.Fatal(err)
 	}
-	data, name, err := cl.Snapshot()
+	res, err := cl.SnapshotSince(context.Background(), "")
 	if err != nil {
 		t.Fatalf("Snapshot fetch: %v", err)
 	}
+	data, name := res.Data, res.Name
 	if !strings.HasSuffix(name, ".tpsn") || !strings.HasPrefix(name, "coordinator-") {
 		t.Fatalf("advertised name %q is not content-addressed", name)
 	}
@@ -134,7 +136,7 @@ func TestSnapshotRoundTripHTTP(t *testing.T) {
 
 	// Identical suffix into the live node (over HTTP) and the restored
 	// coordinator: identical merged answers.
-	if _, err := cl.Ingest(items[1000:]); err != nil {
+	if _, err := cl.Ingest(context.Background(), items[1000:]); err != nil {
 		t.Fatal(err)
 	}
 	restored.ProcessBatch(items[1000:])
@@ -159,7 +161,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 			defer wg.Done()
 			cl := NewClient(srv.URL)
 			for i := 0; i < 25; i++ {
-				if _, err := cl.Ingest([]int64{int64(g), int64(i % 7)}); err != nil {
+				if _, err := cl.Ingest(context.Background(), []int64{int64(g), int64(i % 7)}); err != nil {
 					errs <- err
 					return
 				}
@@ -172,15 +174,15 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 			defer wg.Done()
 			cl := NewClient(srv.URL)
 			for i := 0; i < 15; i++ {
-				if _, err := cl.Sample(); err != nil {
+				if _, err := cl.SampleK(context.Background(), 1); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := cl.Stats(); err != nil {
+				if _, err := cl.Stats(context.Background()); err != nil {
 					errs <- err
 					return
 				}
-				if _, _, err := cl.Snapshot(); err != nil {
+				if _, err := cl.SnapshotSince(context.Background(), ""); err != nil {
 					errs <- err
 					return
 				}
@@ -221,7 +223,7 @@ func TestCloseNoDeadlockWithStatsAndCheckpoint(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_, _ = cl.Stats() // 503 after Close is fine
+					_, _ = cl.Stats(context.Background()) // 503 after Close is fine
 				}
 			}
 		}()
@@ -250,6 +252,62 @@ func TestCloseNoDeadlockWithStatsAndCheckpoint(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestStatsLiveWhileStoreWriteHangs: a checkpoint holds ckptMu across
+// its store write, so /stats must never wait on that lock. While a
+// Checkpoint is stuck inside Put, GET /stats answers within a second
+// and reports the previous checkpoint.
+func TestStatsLiveWhileStoreWriteHangs(t *testing.T) {
+	store := newBlockingStore()
+	store.hang.Store(false)
+	n := NewNode(shard.NewL1(0.1, 7, shard.Config{Shards: 2}), NodeConfig{Store: store})
+	srv := httptest.NewServer(n.Handler())
+	defer srv.Close()
+	cl := NewClient(srv.URL)
+	ctx := context.Background()
+	if _, err := cl.Ingest(ctx, []int64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := n.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Ingest(ctx, []int64{4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	store.hang.Store(true)
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(store.release) }) }
+	defer release() // a failing check must not leave srv.Close waiting on a wedged handler
+	second := make(chan error, 1)
+	go func() {
+		_, err := n.Checkpoint()
+		second <- err
+	}()
+	select {
+	case <-store.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Checkpoint never reached the store")
+	}
+
+	sctx, cancel := context.WithTimeout(ctx, time.Second)
+	st, err := cl.Stats(sctx)
+	cancel()
+	if err != nil {
+		t.Fatalf("/stats while a store write hangs: %v", err)
+	}
+	if st.LastCheckpoint != first || st.Checkpoints != 1 {
+		t.Fatalf("/stats reports %d checkpoints, last %q; want 1, %q", st.Checkpoints, st.LastCheckpoint, first)
+	}
+
+	release()
+	if err := <-second; err != nil {
+		t.Fatalf("released Checkpoint: %v", err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 }
 
 // TestClosedNodeAnswers503: after Close every endpoint refuses instead

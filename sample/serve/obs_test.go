@@ -8,13 +8,14 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,21 +45,21 @@ func TestNodeMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, _, cl := newTestNode(t, NodeConfig{Store: st})
-	if _, err := cl.Ingest([]int64{1, 2, 3, 2, 1}); err != nil {
+	if _, err := cl.Ingest(context.Background(), []int64{1, 2, 3, 2, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.SnapshotSince("")
+	res, err := cl.SnapshotSince(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.SnapshotSince(res.Name); err != nil { // a 304
+	if _, err := cl.SnapshotSince(context.Background(), res.Name); err != nil { // a 304
 		t.Fatal(err)
 	}
 
-	text, err := cl.Metrics()
+	text, err := cl.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestIdleTickerHitsCutCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, _, cl := newTestNode(t, NodeConfig{Store: st, CheckpointEvery: time.Millisecond})
-	if _, err := cl.Ingest([]int64{1, 2, 3, 2, 1}); err != nil {
+	if _, err := cl.Ingest(context.Background(), []int64{1, 2, 3, 2, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Checkpoint(); err != nil {
@@ -112,7 +113,7 @@ func TestIdleTickerHitsCutCache(t *testing.T) {
 	}
 	counter := func(result string) int {
 		t.Helper()
-		text, err := cl.Metrics()
+		text, err := cl.Metrics(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,10 +143,10 @@ func TestIdleTickerHitsCutCache(t *testing.T) {
 // else works, and the health surfaces stay up.
 func TestDisableObservability(t *testing.T) {
 	_, srv, cl := newTestNode(t, NodeConfig{DisableObservability: true})
-	if _, err := cl.Ingest([]int64{1, 2, 3}); err != nil {
+	if _, err := cl.Ingest(context.Background(), []int64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	text, err := cl.Metrics()
+	text, err := cl.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,26 +164,26 @@ func TestDisableObservability(t *testing.T) {
 }
 
 // TestAggregatorMetricsExposition: the aggregator's registry covers
-// queries, merge duration, per-node fetch latency and the migrated
-// cache counters — and GET /debug/vars still renders the exact
-// expvar-era JSON shape from the same counters.
+// queries, merge duration, per-node fetch latency and the cache
+// counters, which Counters reads from the same instruments; the
+// expvar-era GET /debug/vars is gone.
 func TestAggregatorMetricsExposition(t *testing.T) {
 	_, nodeSrv, ncl := newTestNode(t, NodeConfig{})
-	if _, err := ncl.Ingest([]int64{5, 5, 6}); err != nil {
+	if _, err := ncl.Ingest(context.Background(), []int64{5, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
 	agg := NewAggregator(3, nodeSrv.URL)
 	srv := httptest.NewServer(agg.Handler())
 	defer srv.Close()
 	acl := NewClient(srv.URL)
-	if _, err := acl.SampleK(1); err != nil {
+	if _, err := acl.SampleK(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := acl.SampleK(1); err != nil { // second query: a cache hit
+	if _, err := acl.SampleK(context.Background(), 1); err != nil { // second query: a cache hit
 		t.Fatal(err)
 	}
 
-	text, err := acl.Metrics()
+	text, err := acl.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,34 +208,32 @@ func TestAggregatorMetricsExposition(t *testing.T) {
 		}
 	}
 
+	// /metrics is the one wire surface for the cache counters, and
+	// Counters reads the very same instruments.
 	resp, err := http.Get(srv.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := readAll(resp)
-	var vars struct {
-		Aggregator map[string]int64 `json:"aggregator"`
-	}
-	if err := json.Unmarshal(raw, &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v\n%s", err, raw)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/vars = %d, want 404", resp.StatusCode)
 	}
 	c := agg.Counters()
-	if vars.Aggregator["cache_hits"] != c.CacheHits ||
-		vars.Aggregator["full_fetches"] != c.FullFetches ||
-		vars.Aggregator["delta_fetches"] != c.DeltaFetches ||
-		vars.Aggregator["bytes_fetched"] != c.BytesFetched {
-		t.Fatalf("/debug/vars %v disagrees with Counters %+v", vars.Aggregator, c)
+	for series, want := range map[string]int64{
+		"tp_agg_cache_hits_total":    c.CacheHits,
+		"tp_agg_delta_fetches_total": c.DeltaFetches,
+		"tp_agg_full_fetches_total":  c.FullFetches,
+		"tp_agg_bytes_fetched_total": c.BytesFetched,
+		"tp_agg_plan_hits_total":     c.PlanHits,
+		"tp_agg_plan_rebuilds_total": c.PlanRebuilds,
+	} {
+		if got, ok := expositionValue(t, text, series); !ok || got != strconv.FormatInt(want, 10) {
+			t.Errorf("%s = %q (present %v), but Counters reports %d", series, got, ok, want)
+		}
 	}
 	if c.CacheHits != 1 || c.FullFetches != 1 {
 		t.Fatalf("counters = %+v, want 1 full fetch + 1 cache hit", c)
 	}
-}
-
-func readAll(resp *http.Response) ([]byte, error) {
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	_, err := buf.ReadFrom(resp.Body)
-	return buf.Bytes(), err
 }
 
 // TestRequestIDFanOut pins the tracing contract end to end: the ID a
@@ -288,6 +287,52 @@ func TestRequestIDFanOut(t *testing.T) {
 	}
 }
 
+// TestClientCarriesRequestID: every Client method forwards the tracing
+// ID in its context as X-Request-ID.
+func TestClientCarriesRequestID(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string][]string{}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.URL.Path] = append(seen[r.URL.Path], r.Header.Get(obs.RequestIDHeader))
+		mu.Unlock()
+		if r.URL.Path != "/metrics" && r.URL.Path != "/snapshot" {
+			w.Write([]byte("{}"))
+		}
+	}))
+	defer srv.Close()
+
+	const id = "client-trace-3"
+	ctx := obs.ContextWithRequestID(context.Background(), id)
+	cl := NewClient(srv.URL)
+	for name, call := range map[string]func() error{
+		"Ingest":          func() error { _, err := cl.Ingest(ctx, []int64{1}); return err },
+		"IngestBinary":    func() error { _, err := cl.IngestBinary(ctx, []int64{1}); return err },
+		"SampleK":         func() error { _, err := cl.SampleK(ctx, 1); return err },
+		"Stats":           func() error { _, err := cl.Stats(ctx); return err },
+		"AggregatorStats": func() error { _, err := cl.AggregatorStats(ctx); return err },
+		"Metrics":         func() error { _, err := cl.Metrics(ctx); return err },
+		"SnapshotSince":   func() error { _, err := cl.SnapshotSince(ctx, ""); return err },
+	} {
+		if err := call(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	want := map[string]int{"/ingest": 2, "/sample": 1, "/stats": 2, "/metrics": 1, "/snapshot": 1}
+	mu.Lock()
+	defer mu.Unlock()
+	for path, n := range want {
+		if len(seen[path]) != n {
+			t.Errorf("%s got %d requests, want %d", path, len(seen[path]), n)
+		}
+		for _, got := range seen[path] {
+			if got != id {
+				t.Errorf("%s carried X-Request-ID %q, want %q", path, got, id)
+			}
+		}
+	}
+}
+
 // TestAggregatorErrorAttribution: a fan-out failure's JSON body names
 // the failing node and echoes the query's request ID — satellite #1.
 func TestAggregatorErrorAttribution(t *testing.T) {
@@ -326,26 +371,32 @@ func TestAggregatorErrorAttribution(t *testing.T) {
 }
 
 // blockingStore is a SnapshotStore whose Put parks until released —
-// the "slow disk mid-Close" the draining guard exists for.
+// the "slow disk mid-Close" the draining guard exists for. Clearing
+// hang lets Puts through until it is set again.
 type blockingStore struct {
-	entered chan struct{} // closed when the first Put starts
-	release chan struct{} // Put returns when this closes
+	hang    atomic.Bool
+	entered chan struct{} // closed when the first parked Put starts
+	release chan struct{} // parked Puts return when this closes
 	once    sync.Once
 	mem     map[string][]byte
 	mu      sync.Mutex
 }
 
 func newBlockingStore() *blockingStore {
-	return &blockingStore{
+	b := &blockingStore{
 		entered: make(chan struct{}),
 		release: make(chan struct{}),
 		mem:     map[string][]byte{},
 	}
+	b.hang.Store(true)
+	return b
 }
 
 func (b *blockingStore) Put(name string, data []byte) error {
-	b.once.Do(func() { close(b.entered) })
-	<-b.release
+	if b.hang.Load() {
+		b.once.Do(func() { close(b.entered) })
+		<-b.release
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.mem[name] = append([]byte(nil), data...)
@@ -387,7 +438,7 @@ func TestDrainingNodeAnswers503(t *testing.T) {
 	srv := httptest.NewServer(n.Handler())
 	defer srv.Close()
 	cl := NewClient(srv.URL)
-	if _, err := cl.Ingest([]int64{1, 2, 3}); err != nil {
+	if _, err := cl.Ingest(context.Background(), []int64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -492,7 +543,7 @@ func TestConcurrentIngestAndScrape(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := cl.Ingest([]int64{int64(w), int64(i)}); err != nil {
+				if _, err := cl.Ingest(context.Background(), []int64{int64(w), int64(i)}); err != nil {
 					t.Errorf("ingest: %v", err)
 					return
 				}
@@ -502,7 +553,7 @@ func TestConcurrentIngestAndScrape(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := cl.Metrics(); err != nil {
+				if _, err := cl.Metrics(context.Background()); err != nil {
 					t.Errorf("scrape: %v", err)
 					return
 				}
@@ -510,7 +561,7 @@ func TestConcurrentIngestAndScrape(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	text, err := cl.Metrics()
+	text, err := cl.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

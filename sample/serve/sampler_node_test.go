@@ -7,6 +7,7 @@ package serve
 // fleets.
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -34,7 +35,7 @@ func TestSamplerNodeIngestSampleSnapshot(t *testing.T) {
 	// Inserts plus one deletion, packed: item 7 is inserted twice and
 	// deleted once, item 3 three times.
 	items := []int64{7, 3, 7, 3, 3, sample.PackTurnstileItem(sample.Update{Item: 7, Delta: -1})}
-	ack, err := cl.Ingest(items)
+	ack, err := cl.Ingest(context.Background(), items)
 	if err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
@@ -42,7 +43,7 @@ func TestSamplerNodeIngestSampleSnapshot(t *testing.T) {
 		t.Fatalf("ack = %+v, want %d/%d", ack, len(items), len(items))
 	}
 
-	resp, err := cl.Sample()
+	resp, err := cl.SampleK(context.Background(), 1)
 	if err != nil {
 		t.Fatalf("Sample: %v", err)
 	}
@@ -55,7 +56,7 @@ func TestSamplerNodeIngestSampleSnapshot(t *testing.T) {
 		t.Fatalf("served outcome %+v outside the exact support/frequency table %v", out, wantFreq)
 	}
 
-	st, err := cl.Stats()
+	st, err := cl.Stats(context.Background())
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
@@ -68,10 +69,11 @@ func TestSamplerNodeIngestSampleSnapshot(t *testing.T) {
 
 	// GET /snapshot must hand back bytes snap.Restore accepts, carrying
 	// the full ingested state.
-	data, name, err := cl.Snapshot()
+	res, err := cl.SnapshotSince(context.Background(), "")
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
+	data, name := res.Data, res.Name
 	if name == "" {
 		t.Fatal("snapshot answered with an empty content-addressed name")
 	}
@@ -116,10 +118,10 @@ func TestSamplerNodeHostileItem400(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, cl := newSamplerTestNode(t, tc.s)
-			if _, err := cl.Ingest(tc.good); err != nil {
+			if _, err := cl.Ingest(context.Background(), tc.good); err != nil {
 				t.Fatalf("good batch: %v", err)
 			}
-			_, err := cl.Ingest(tc.hostile)
+			_, err := cl.Ingest(context.Background(), tc.hostile)
 			if err == nil {
 				t.Fatal("hostile batch accepted")
 			}
@@ -127,7 +129,7 @@ func TestSamplerNodeHostileItem400(t *testing.T) {
 				t.Fatalf("hostile batch answered %v, want a 400", err)
 			}
 			// The node survives and keeps answering.
-			resp, err := cl.Sample()
+			resp, err := cl.SampleK(context.Background(), 1)
 			if err != nil {
 				t.Fatalf("Sample after hostile batch: %v", err)
 			}
@@ -153,7 +155,7 @@ func TestAggregatorRandOrderRefusal(t *testing.T) {
 			srv.Close()
 			n.Close()
 		})
-		if _, err := NewClient(srv.URL).Ingest([]int64{3, 3, 5, 9}); err != nil {
+		if _, err := NewClient(srv.URL).Ingest(context.Background(), []int64{3, 3, 5, 9}); err != nil {
 			t.Fatal(err)
 		}
 		urls = append(urls, srv.URL)

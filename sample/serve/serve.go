@@ -21,12 +21,13 @@
 // between; Restore folds the chain back). An Aggregator holds no
 // sampler state — only a per-node snapshot cache keyed by those state
 // names: per query it revalidates every node (304s, folded deltas, or
-// full refetches; counters on GET /debug/vars), explodes each
-// coordinator checkpoint into per-shard sampler states
-// (shard.SamplerStates), and runs snap.MergeStates over the union —
-// the m_j/m mixture of Theorem 3.1's composition argument, now
-// spanning machines. See DESIGN.md §5 for the full architecture, the
-// snapshot-cache contract, and the staleness contract.
+// full refetches; counted by the tp_agg_* series on GET /metrics),
+// restores a changed node's per-shard pools once per state name
+// (snap.RestorePools), and draws from a merge plan wired over every
+// node's pools (snap.PlanPools) — the m_j/m mixture of Theorem 3.1's
+// composition argument, now spanning machines. See DESIGN.md §5 for
+// the full architecture, the snapshot-cache contract, and the
+// staleness contract.
 //
 // # Why the aggregator's answer is exact
 //
@@ -170,14 +171,15 @@ type NodeStatus struct {
 // the reachable nodes' masses — the m the next merged query will
 // normalize by (up to staleness).
 type AggregatorStats struct {
-	Nodes     []NodeStatus       `json:"nodes"`
-	StreamLen int64              `json:"streamLen"`
-	Counters  AggregatorCounters `json:"counters"`
+	Nodes     []NodeStatus `json:"nodes"`
+	StreamLen int64        `json:"streamLen"`
 }
 
 // AggregatorCounters is a point-in-time copy of an aggregator's
-// snapshot-cache and transfer counters (Aggregator.Counters; also
-// served as expvar JSON on GET /debug/vars). Per queried node and
+// snapshot-cache and transfer counters (Aggregator.Counters), read
+// from the same counters GET /metrics serves as
+// tp_agg_{cache_hits,delta_fetches,full_fetches,bytes_fetched,
+// plan_hits,plan_rebuilds}_total. Per queried node and
 // query, exactly one of CacheHits / DeltaFetches / FullFetches
 // advances: a 304 revalidation, a v2 delta folded onto the cached
 // state, or a full v1 fetch. BytesFetched counts response-body bytes —

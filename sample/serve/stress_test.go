@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -57,7 +58,7 @@ func TestNodeQueryIngestCheckpointStress(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := cl.SampleK(4)
+				resp, err := cl.SampleK(context.Background(), 4)
 				if err != nil {
 					t.Errorf("SampleK: %v", err)
 					return
@@ -94,7 +95,7 @@ func TestNodeQueryIngestCheckpointStress(t *testing.T) {
 			defer ingest.Done()
 			cl := NewClient(srv.URL)
 			for b := 0; b < batches; b++ {
-				if _, err := cl.Ingest(batch); err != nil {
+				if _, err := cl.Ingest(context.Background(), batch); err != nil {
 					t.Errorf("Ingest: %v", err)
 					return
 				}
@@ -115,11 +116,11 @@ func TestNodeQueryIngestCheckpointStress(t *testing.T) {
 	// shared snapshot, visible on the node's metric.
 	cl := NewClient(srv.URL)
 	for i := 0; i < 2; i++ {
-		if _, err := cl.SampleK(4); err != nil {
+		if _, err := cl.SampleK(context.Background(), 4); err != nil {
 			t.Fatal(err)
 		}
 	}
-	text, err := cl.Metrics()
+	text, err := cl.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestNodeSnapshotCutCacheStress(t *testing.T) {
 		}()
 	}
 	cl := NewClient(srv.URL)
-	loop(func() error { _, err := cl.SampleK(2); return err })
+	loop(func() error { _, err := cl.SampleK(context.Background(), 2); return err })
 	var last string
 	loop(func() error {
 		name, _, err := get(last) // revalidate like an aggregator
@@ -234,7 +235,7 @@ func TestNodeSnapshotCutCacheStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := wcl.Ingest([]int64{int64(w), int64(b), 5}); err != nil {
+				if _, err := wcl.Ingest(context.Background(), []int64{int64(w), int64(b), 5}); err != nil {
 					t.Error(err)
 					return
 				}

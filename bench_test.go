@@ -717,22 +717,26 @@ func BenchmarkE23DeltaEncode(b *testing.B) {
 }
 
 // BenchmarkE23DeltaFetch measures one aggregator re-query against a
-// slowly-churning node through the snapshot cache: per iteration the
-// node ingests a small batch and the aggregator merges — revalidating
-// its cache and folding the served v2 delta instead of refetching the
-// full snapshot. The counters assert the steady state performs zero
-// full-snapshot fetches after the cold query; bytes/fetch reports the
-// per-query transfer the delta path leaves.
+// slowly-churning sampler node (which the aggregator fetches through
+// /snapshot; coordinator nodes ship acceptance summaries instead)
+// through the snapshot cache: per iteration the node ingests a small
+// batch and the aggregator merges — revalidating its cache and folding
+// the served v2 delta instead of refetching the full snapshot. The
+// counters assert the steady state performs zero full-snapshot fetches
+// after the cold query; bytes/fetch reports the per-query transfer the
+// delta path leaves.
 func BenchmarkE23DeltaFetch(b *testing.B) {
 	items := ingestStream()
-	node := serve.NewNode(
-		shard.NewLp(2, 1<<14, int64(len(items))+int64(b.N)*256+1<<20, 0.2, 1,
-			shard.Config{Shards: 2}),
+	node := serve.NewSamplerNode(
+		sample.NewLp(2, 1<<14, int64(len(items))+int64(b.N)*256+1<<20, 0.2, 1),
 		serve.NodeConfig{})
 	defer node.Close()
 	srv := httptest.NewServer(node.Handler())
 	defer srv.Close()
-	node.Coordinator().ProcessBatch(items)
+	cl := serve.NewClient(srv.URL)
+	if _, err := cl.IngestBinary(context.Background(), items); err != nil {
+		b.Fatal(err)
+	}
 	agg := serve.NewAggregator(123, srv.URL)
 	if _, _, err := agg.Merge(context.Background()); err != nil { // cold query: the one full fetch
 		b.Fatal(err)
@@ -740,7 +744,9 @@ func BenchmarkE23DeltaFetch(b *testing.B) {
 	cold := agg.Counters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		node.Coordinator().ProcessBatch(items[(i*256)%(len(items)-256) : (i*256)%(len(items)-256)+256])
+		if _, err := cl.IngestBinary(context.Background(), items[(i*256)%(len(items)-256):(i*256)%(len(items)-256)+256]); err != nil {
+			b.Fatal(err)
+		}
 		if _, _, err := agg.Merge(context.Background()); err != nil {
 			b.Fatal(err)
 		}

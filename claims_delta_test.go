@@ -170,31 +170,31 @@ func TestClaimDeltaChainEquivalence(t *testing.T) {
 	})
 }
 
-// Claim (delta serving economics): against a fleet whose pools churn
-// slowly between checkpoints, an aggregator re-query performs ZERO
-// full-snapshot fetches — unchanged nodes revalidate in one header
-// round-trip and changed nodes ship only deltas several times smaller
-// than their snapshots (the ≥5× figure is pinned at bench strength by
-// BenchmarkE23DeltaEncode; here the claim is the fetch-path shape,
-// asserted via the aggregator's counters).
+// Claim (delta serving economics): against a fleet of nodes that do
+// not summarize (sampler nodes, which the aggregator fetches through
+// /snapshot) and whose pools churn slowly between checkpoints, an
+// aggregator re-query performs ZERO full-snapshot fetches — unchanged
+// nodes revalidate in one header round-trip and changed nodes ship
+// only deltas several times smaller than their snapshots (the ≥5×
+// figure is pinned at bench strength by BenchmarkE23DeltaEncode; here
+// the claim is the fetch-path shape, asserted via the aggregator's
+// counters).
 func TestClaimDeltaServingAvoidsFullRefetch(t *testing.T) {
 	gen := stream.NewGenerator(rng.New(57))
 	items := gen.Zipf(1<<14, 40_000, 1.1)
-	var nodes []*serve.Node
 	var urls []string
 	for j := 0; j < 3; j++ {
 		// The p=2 pool is the richest per-node state (instances + heap +
 		// tracked table + Misra–Gries normalizer) — the regime the delta
 		// path is built for.
-		n := serve.NewNode(
-			shard.NewLp(2, 1<<14, 50_000, 0.1, uint64(j)+1, shard.Config{Shards: 2}),
-			serve.NodeConfig{})
+		n := serve.NewSamplerNode(sample.NewLp(2, 1<<14, 50_000, 0.1, uint64(j)+1), serve.NodeConfig{})
 		defer n.Close()
 		srv := httptest.NewServer(n.Handler())
 		defer srv.Close()
-		nodes = append(nodes, n)
 		urls = append(urls, srv.URL)
-		n.Coordinator().ProcessBatch(items[j*10_000 : (j+1)*10_000])
+		if _, err := serve.NewClient(srv.URL).IngestBinary(context.Background(), items[j*10_000:(j+1)*10_000]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	agg := serve.NewAggregator(77, urls...)
 	if _, _, err := agg.Merge(context.Background()); err != nil { // cold query primes the cache
@@ -206,14 +206,16 @@ func TestClaimDeltaServingAvoidsFullRefetch(t *testing.T) {
 	}
 
 	// Slow churn: every node moves a little; re-query.
-	for j, n := range nodes {
-		n.Coordinator().ProcessBatch(items[30_000+j*100 : 30_000+(j+1)*100])
+	for j, u := range urls {
+		if _, err := serve.NewClient(u).IngestBinary(context.Background(), items[30_000+j*100:30_000+(j+1)*100]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	merged, pools, err := agg.Merge(context.Background())
 	if err != nil {
 		t.Fatalf("warm Merge: %v", err)
 	}
-	if pools != 6 || merged.StreamLen() != 30_300 {
+	if pools != 3 || merged.StreamLen() != 30_300 {
 		t.Fatalf("warm merge spans %d pools, mass %d", pools, merged.StreamLen())
 	}
 	warm := agg.Counters()

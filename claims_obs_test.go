@@ -69,6 +69,9 @@ func TestClaimObsExposition(t *testing.T) {
 	if _, err := node.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := serve.NewClient(nodeSrv.URL).SnapshotSince(context.Background(), ""); err != nil {
+		t.Fatal(err)
+	}
 	agg := serve.NewAggregator(9, nodeSrv.URL)
 	aggSrv := httptest.NewServer(agg.Handler())
 	defer aggSrv.Close()
@@ -92,12 +95,13 @@ func TestClaimObsExposition(t *testing.T) {
 		"tp_node_query_snapshot_shared_total",
 		`tp_snapshot_cut_cache_total{result="hit"}`,
 		`tp_snapshot_cut_cache_total{result="miss"}`,
+		`tp_summary_serves_total{result="full"}`,
 	} {
 		if _, ok := nodeSeries[want]; !ok {
 			t.Errorf("node exposition is missing %s", want)
 		}
 	}
-	// The aggregator's fetch came after the checkpoint's cut with no
+	// The snapshot fetch came after the checkpoint's cut with no
 	// mutation between: it must have been answered from the cut cache.
 	if hit, miss := nodeSeries[`tp_snapshot_cut_cache_total{result="hit"}`],
 		nodeSeries[`tp_snapshot_cut_cache_total{result="miss"}`]; hit != 1 || miss != 1 {
@@ -113,6 +117,7 @@ func TestClaimObsExposition(t *testing.T) {
 		`tp_agg_merge_seconds_bucket{le="+Inf"}`,
 		"tp_agg_queries_total",
 		"tp_agg_full_fetches_total",
+		"tp_agg_summary_fetches_total",
 		"tp_agg_plan_hits_total",
 		"tp_agg_plan_rebuilds_total",
 		`tp_agg_fetch_seconds_count{node="` + nodeSrv.URL + `"}`,

@@ -560,9 +560,10 @@ func TestClaimQueryAnswerGolden(t *testing.T) {
 // answers for equal qseeds. Each plan flips its trials from copies of
 // the pools' PCG states, so no plan moves another's coins, even while
 // several plans materialize groups concurrently. End to end, an
-// aggregator over one churning and one frozen node, which restores only
-// the churning node's pools on each query, answers query by query what
-// BuildMergePlan over the states it fetched answers for the same qseed.
+// aggregator over one churning and one frozen node, which fetches only
+// the churning node's summary on each query, answers query by query
+// what snap.PlanSummaries over the summaries the nodes serve answers
+// for the same qseed.
 func TestClaimQuerySharedPoolPlans(t *testing.T) {
 	const k = 8
 	gen := stream.NewGenerator(rng.New(91))
@@ -675,31 +676,32 @@ func TestClaimQuerySharedPoolPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		outs, n := merged.SampleK(k)
-		var fetched []sample.State
+		var sums []*snap.Summary
 		for _, u := range urls {
-			res, err := serve.NewClient(u).SnapshotSince(context.Background(), "")
+			res, err := serve.NewClient(u).Summary(context.Background(), k, "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			sts, err := shard.SamplerStates(res.Data)
+			sum, err := snap.DecodeSummary(res.Data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fetched = append(fetched, sts...)
+			sums = append(sums, sum)
 		}
-		plan, err := snap.BuildMergePlan(fetched...)
+		plan, err := snap.PlanSummaries(seed, sums...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantOuts, wantN := plan.SampleK(seed+uint64(q)*0x9e3779b97f4a7c15, k)
 		if n != wantN || fmt.Sprint(outs) != fmt.Sprint(wantOuts) {
-			t.Fatalf("query %d: aggregator %v (%d), BuildMergePlan over its states %v (%d)",
+			t.Fatalf("query %d: aggregator %v (%d), PlanSummaries over the served summaries %v (%d)",
 				q, outs, n, wantOuts, wantN)
 		}
 	}
 	c := agg.Counters()
-	if c.PlanRebuilds != queries || c.DeltaFetches != queries-1 || c.CacheHits != queries-1 {
-		t.Fatalf("counters %+v: want %d rebuilds, %d delta fetches (node A) and %d hits (node B)",
-			c, queries, queries-1, queries-1)
+	if c.PlanRebuilds != queries || c.SummaryFetches != queries+1 || c.CacheHits != queries-1 ||
+		c.DeltaFetches != 0 || c.FullFetches != 0 {
+		t.Fatalf("counters %+v: want %d rebuilds, %d summary fetches (node A's %d, node B's first) and %d hits (node B)",
+			c, queries, queries+1, queries, queries-1)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/stream"
 	"repro/sample"
 	"repro/sample/serve"
-	"repro/sample/shard"
 	"repro/sample/snap"
 )
 
@@ -89,13 +88,17 @@ func init() {
 		fmt.Println("   ships whichever encoding is smaller, so a delta is never a regression)")
 
 		// --- the serving layer's view: cached aggregator transfer -------
-		node := serve.NewNode(
-			shard.NewLp(2, n, cap, 0.1, 7, shard.Config{Shards: 2}),
-			serve.NodeConfig{})
+		// A sampler node: the aggregator fetches it through /snapshot
+		// (coordinator nodes ship acceptance summaries instead).
+		node := serve.NewSamplerNode(sample.NewLp(2, n, cap, 0.1, 7), serve.NodeConfig{})
 		defer node.Close()
 		srv := httptest.NewServer(node.Handler())
 		defer srv.Close()
-		node.Coordinator().ProcessBatch(items)
+		cl := serve.NewClient(srv.URL)
+		if _, err := cl.IngestBinary(context.Background(), items); err != nil {
+			fmt.Println("  ingest:", err)
+			return
+		}
 		agg := serve.NewAggregator(99, srv.URL)
 		if _, _, err := agg.Merge(context.Background()); err != nil {
 			fmt.Println("  aggregator:", err)
@@ -107,7 +110,10 @@ func init() {
 			queries = 4
 		}
 		for q := 0; q < queries; q++ {
-			node.Coordinator().ProcessBatch(items[q*64 : (q+1)*64])
+			if _, err := cl.IngestBinary(context.Background(), items[q*64:(q+1)*64]); err != nil {
+				fmt.Println("  ingest:", err)
+				return
+			}
 			if _, _, err := agg.Merge(context.Background()); err != nil {
 				fmt.Println("  aggregator:", err)
 				return

@@ -4,8 +4,8 @@
 // "Running a cluster" for a full walkthrough and DESIGN.md §5 for the
 // architecture.
 //
-// A node serves POST /ingest, GET /sample, GET /stats and
-// GET /snapshot over a shard.Coordinator, checkpointing into -store on
+// A node serves POST /ingest, GET /sample, GET /stats, GET /summary
+// and GET /snapshot over a shard.Coordinator, checkpointing into -store on
 // the -checkpoint interval. Ingest accepts JSON ({"items":[…]}) or the
 // binary item frame (Content-Type application/x-tp-items —
 // serve.Client.IngestBinary emits it), the fast path for high-rate
@@ -28,13 +28,14 @@
 // node's sampler, point it at an empty -store.
 //
 // An aggregator serves GET /sample, GET /samplek and GET /stats: per
-// query it revalidates every -nodes snapshot against its cache (304
-// for unchanged nodes, a folded v2 delta for churned ones) and answers
-// with exactly the law one sampler would have had on the union of the
-// node streams. When every node's state
-// name is unchanged the query reuses the cached merge plan instead of
-// re-running the merge (DESIGN.md §9), and concurrent queries share
-// one in-flight fetch per node. -query-timeout bounds each query's
+// query it revalidates every -nodes acceptance summary against its
+// cache (304 for a node whose query plan is unchanged, the new summary
+// otherwise; nodes that do not summarize are fetched through their
+// snapshots, with v2 deltas for churned ones) and answers with exactly
+// the law one sampler would have had on the union of the node streams.
+// When no node's cache entry moved the query reuses the cached merge
+// plan (DESIGN.md §9), and concurrent queries share one in-flight
+// fetch per node. -query-timeout bounds each query's
 // whole fan-out (0 = none); the cache, transfer and plan counters
 // serve as the tp_agg_* series on /metrics and print on shutdown.
 //
@@ -315,11 +316,11 @@ func runAggregator(addr, nodes string, seed uint64, queryTimeout time.Duration, 
 	fmt.Printf("tpserve: aggregating %d nodes on %s\n", len(urls), addr)
 	return serveUntilSignal(addr, h, func() error {
 		// The shutdown summary an operator greps after a drain: how much
-		// the snapshot cache and the delta path saved this process
-		// (live values serve on GET /metrics as tp_agg_*_total).
+		// the node cache and the delta path saved this process (live
+		// values serve on GET /metrics as tp_agg_*_total).
 		c := agg.Counters()
-		fmt.Printf("tpserve: aggregator counters: cache_hits=%d delta_fetches=%d full_fetches=%d bytes_fetched=%d plan_hits=%d plan_rebuilds=%d\n",
-			c.CacheHits, c.DeltaFetches, c.FullFetches, c.BytesFetched, c.PlanHits, c.PlanRebuilds)
+		fmt.Printf("tpserve: aggregator counters: cache_hits=%d summary_fetches=%d delta_fetches=%d full_fetches=%d bytes_fetched=%d plan_hits=%d plan_rebuilds=%d\n",
+			c.CacheHits, c.SummaryFetches, c.DeltaFetches, c.FullFetches, c.BytesFetched, c.PlanHits, c.PlanRebuilds)
 		return nil
 	})
 }

@@ -3,8 +3,9 @@
 // aggregator, wired over real loopback listeners. It demonstrates the
 // three claims DESIGN.md §5 makes for the serving layer:
 //
-//  1. Exactness: the aggregator's answers over the fleet's snapshots
-//     follow exactly the single-sampler law on the union stream. The
+//  1. Exactness: the aggregator's answers over the nodes' acceptance
+//     summaries follow exactly the single-sampler law on the union
+//     stream. The
 //     demo provisions 256 disjoint query groups per node, so one
 //     SampleK(256) yields 256 mutually independent global draws — the
 //     empirical TV distance to the exact law sits at the sampling
@@ -12,7 +13,7 @@
 //  2. Durability: killing a node and restoring it from its snapshot
 //     store brings back the exact stream mass it had checkpointed.
 //  3. Zero coupling: nodes never talk to each other; the only shared
-//     state is snapshot bytes in flight.
+//     state in flight is summaries and snapshot bytes.
 //
 // It also walks the observability layer (DESIGN.md §7): a request ID
 // stamped on an aggregator query shows up in node 0's request log —
@@ -143,9 +144,9 @@ func main() {
 		fail(err)
 	}
 	fmt.Println("  node 0 /metrics (excerpt):")
-	printMetrics(nodeMet, "tp_ingest_requests_total", "tp_ingest_items_total", "tp_snapshot_serves_total")
+	printMetrics(nodeMet, "tp_ingest_requests_total", "tp_ingest_items_total", "tp_summary_serves_total")
 	fmt.Println("  aggregator /metrics (excerpt):")
-	printMetrics(aggMet, "tp_agg_queries_total", "tp_agg_full_fetches_total", "tp_agg_cache_hits_total")
+	printMetrics(aggMet, "tp_agg_queries_total", "tp_agg_summary_fetches_total", "tp_agg_cache_hits_total")
 
 	// --- kill a node, restore it from its store ---------------------------
 	fmt.Println("\nkilling node 0 and restoring it from its snapshot store…")

@@ -339,43 +339,52 @@ func (s *GSampler) SampleAll() []Outcome {
 	return out
 }
 
-// FirstAcceptance runs the rejection step of Algorithm 2 on every
-// instance of query group q, in pool order, normalized by the explicit
-// increment bound zeta, and returns the group index of the first
-// instance that accepted together with its outcome, or −1 when none
-// did. Every instance flips its coin from src even after the first
-// acceptance, so src advances exactly as if each trial were kept.
+// Acceptance is one accepted trial of a query group: At is the
+// trial's index inside the group, Item and AfterCount its outcome
+// (Outcome.Item and Outcome.AfterCount).
+type Acceptance struct {
+	At         int
+	Item       int64
+	AfterCount int64
+}
+
+// Acceptances runs the rejection step of Algorithm 2 on every instance
+// of query group q, in pool order, normalized by the explicit increment
+// bound zeta, and appends every instance that accepted to dst, in
+// index order. Every instance flips exactly one coin from src, so src
+// advances by the group's full trial count whatever the outcome.
 //
-// The first acceptance is all a merged query can read from a group:
-// the m_j/m mixture (sample/snap's MergePlan, which also serves
+// The m_j/m mixture (sample/snap's MergePlan, which also serves
 // shard.Coordinator) walks pool j's trials in order and stops at the
-// first accepted one. Each trial carries the exact per-instance law
-// P[accept ∧ item = i] = G(f_i)/(ζm), trials are independent, and
-// distinct groups involve disjoint instances, so merged queries built
-// from different groups are mutually independent.
+// first accepted one, so a local answer reads only the first entry.
+// The later entries are what a node ships to an aggregator: thinning
+// each with an independent Bernoulli(zeta/ζ) coin turns them into the
+// acceptances of the same trials under a larger global bound ζ. Each
+// trial carries the exact per-instance law P[accept ∧ item = i] =
+// G(f_i)/(ζm), trials are independent, and distinct groups involve
+// disjoint instances, so queries built from different groups are
+// mutually independent.
 //
-// zeta overrides the pool's own normalizer: every pool in a merge must
-// be normalized by one shared global ζ, which must be a valid increment
-// bound for this pool's realized stream. src is the coin source: the
-// pool's own stream (Coins) for a live pool, whose snapshots capture
-// it, or a copy of it for a pool several plans share, which then reads
-// the pool and never writes it. An empty stream returns −1 without
-// flipping a single coin.
-func (s *GSampler) FirstAcceptance(q int, zeta float64, src *rng.PCG) (int, Outcome) {
+// zeta overrides the pool's own normalizer: it must be a valid
+// increment bound for this pool's realized stream. src is the coin
+// source: the pool's own stream (Coins) for a live pool, whose
+// snapshots capture it, or a copy of it for a pool several plans
+// share, which then reads the pool and never writes it. An empty
+// stream appends nothing and flips no coin.
+func (s *GSampler) Acceptances(q int, zeta float64, src *rng.PCG, dst []Acceptance) []Acceptance {
 	if q < 0 || q >= s.Queries() {
-		panic("core: FirstAcceptance group index out of range")
+		panic("core: Acceptances group index out of range")
 	}
-	at, first := -1, Outcome{}
 	if s.t == 0 {
-		return at, first
+		return dst
 	}
 	base := q * s.groupSize
 	for i := 0; i < s.groupSize; i++ {
-		if o, ok := s.sampleInstance(base+i, zeta, src); ok && at < 0 {
-			at, first = i, o
+		if o, ok := s.sampleInstance(base+i, zeta, src); ok {
+			dst = append(dst, Acceptance{At: i, Item: o.Item, AfterCount: o.AfterCount})
 		}
 	}
-	return at, first
+	return dst
 }
 
 // Coins returns the pool's own coin stream: the PCG every query's

@@ -103,23 +103,25 @@ func TestSampleKGroupAccounting(t *testing.T) {
 	if _, present := freq[out.Item]; !present {
 		t.Fatalf("sampled item %d not in stream", out.Item)
 	}
-	// FirstAcceptance reports an index inside one group, and an
+	// Acceptances reports indices inside one group, and an
 	// out-of-range group panics.
-	if at, _ := s.FirstAcceptance(3, 1, s.Coins()); at < -1 || at >= 6 {
-		t.Fatalf("FirstAcceptance index = %d, want in [-1, 6)", at)
+	for _, a := range s.Acceptances(3, 1, s.Coins(), nil) {
+		if a.At < 0 || a.At >= 6 {
+			t.Fatalf("Acceptances index = %d, want in [0, 6)", a.At)
+		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FirstAcceptance group 4 did not panic")
+			t.Fatal("Acceptances group 4 did not panic")
 		}
 	}()
-	s.FirstAcceptance(4, 1, s.Coins())
+	s.Acceptances(4, 1, s.Coins(), nil)
 }
 
-// fullTrialLoop is the reference FirstAcceptance replaced: it runs
-// every instance of group q through the rejection step and keeps each
-// result, the table the merge plan used to store. FirstAcceptance must
-// agree with its first accepted entry and leave the PCG where it does.
+// fullTrialLoop is the reference Acceptances replaced: it runs every
+// instance of group q through the rejection step and keeps each
+// result, the table the merge plan used to store. Acceptances must
+// list exactly its accepted entries and leave the PCG where it does.
 func fullTrialLoop(s *GSampler, q int, zeta float64) (oks []bool, outs []Outcome) {
 	if s.t == 0 {
 		return make([]bool, s.groupSize), make([]Outcome, s.groupSize)
@@ -132,9 +134,10 @@ func fullTrialLoop(s *GSampler, q int, zeta float64) (oks []bool, outs []Outcome
 	return oks, outs
 }
 
-// FirstAcceptance must flip the same coins in the same order as the
-// full trial loop: same first index, same outcome, same PCG state
-// afterwards. Pools: L1, Lp p=2 and Lp p=0.5, empty and Zipf streams,
+// Acceptances must flip the same coins in the same order as the full
+// trial loop: the same accepted indices and outcomes (so the same
+// first acceptance, the one a local draw reads), and the same PCG
+// state afterwards. Pools: L1, Lp p=2 and Lp p=0.5, empty and Zipf streams,
 // every group, ζ from tight to so loose that no trial accepts.
 func TestFirstAcceptanceMatchesFullLoop(t *testing.T) {
 	gen := stream.NewGenerator(rng.New(61))
@@ -153,17 +156,18 @@ func TestFirstAcceptanceMatchesFullLoop(t *testing.T) {
 			for _, scale := range []float64{1, 4, 1e9} {
 				for q := 0; q < 3; q++ {
 					oks, outs := fullTrialLoop(ref, q, base*scale)
-					at, out := got.FirstAcceptance(q, base*scale, got.Coins())
-					want := slices.Index(oks, true)
-					if at != want {
-						t.Fatalf("%s seed %d ζ×%g group %d: index %d, full loop %d",
-							g.Name(), seed, scale, q, at, want)
+					accs := got.Acceptances(q, base*scale, got.Coins(), nil)
+					var wantAccs []Acceptance
+					for i, ok := range oks {
+						if ok {
+							wantAccs = append(wantAccs, Acceptance{At: i, Item: outs[i].Item, AfterCount: outs[i].AfterCount})
+						}
 					}
-					if want >= 0 && out != outs[want] {
-						t.Fatalf("%s seed %d ζ×%g group %d: outcome %+v, full loop %+v",
-							g.Name(), seed, scale, q, out, outs[want])
+					if !slices.Equal(accs, wantAccs) {
+						t.Fatalf("%s seed %d ζ×%g group %d: acceptances %+v, full loop %+v",
+							g.Name(), seed, scale, q, accs, wantAccs)
 					}
-					if want < 0 {
+					if len(wantAccs) == 0 {
 						none++
 					} else {
 						some++

@@ -164,7 +164,7 @@ func (s *Sampler) InstanceCount() int { return len(s.insts) }
 // touches the sampler's own PCG — the cross-snapshot merge
 // (sample/snap) drives instances of several decoded samplers from one
 // shared coin stream. It is the matrix counterpart of
-// core.GSampler.FirstAcceptance, which flips a pool's coins from the
+// core.GSampler.Acceptances, which flips a pool's coins from the
 // stream its caller passes.
 func (s *Sampler) Trial(i int, flip func(p float64) bool) (int64, bool) {
 	inst := &s.insts[i]

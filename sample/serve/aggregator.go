@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,40 +19,34 @@ import (
 
 // Aggregator answers global sampling queries over a fleet of nodes
 // without holding any *sampler* state of its own. Per query it brings
-// every node's snapshot up to date (a changed node's checkpoint is
-// split into per-shard sampler states and their pools restored, once
-// per state name) and answers from a snap.MergePlan over the union of
-// those pools — so the answer's law is exactly the
+// every node's acceptance summary up to date (snap.Summary: the node's
+// spec, ζ_j, per-pool masses and every accepted trial of each query
+// group, read from the plan the node's local queries share) and draws
+// from a snap.MergePlan that mixes the summaries under one ζ =
+// max_j ζ_j (snap.PlanSummaries) — so the answer's law is exactly the
 // law of one truly perfect sampler on the concatenation of every
-// node's stream, as of each node's snapshot instant.
+// node's stream, as of each node's fetch.
 //
 // What the aggregator does hold is caching at two levels:
 //
-//   - A per-node *snapshot cache*, keyed by the content-addressed
-//     snap.Name each node advertises: a query revalidates with
-//     ?since=/If-None-Match instead of refetching, so an unchanged node
-//     costs one header round-trip (304, a cache hit), a changed
-//     delta-capable node costs only its v2 delta, and only a node the
-//     cache cannot cover costs a full fetch. A coordinator node's
-//     entry is its decoded cut: a delta folds onto a copy of it,
-//     passes the decoder's structural checks and is verified against
-//     the advertised name. Each entry also holds the node's pools,
-//     restored once per state name (snap.RestorePools) when the fetch
-//     installs it.
-//   - A *merge-plan cache* (DESIGN.md §9), keyed by the fingerprint of
-//     every node's advertised state name: while no node's state moves,
-//     queries reuse the prepared snap.MergePlan — pools, mixture
-//     masses, the global ζ — and pay only their own mixture draws
-//     instead of re-running the full merge. The plan cache is exactly
-//     lawful because the trial coins are frozen in the snapshot bytes
-//     the fingerprint covers: a rebuilt plan from the same names
-//     replays the same trials, so reuse changes nothing but CPU time
-//     (see snap.MergePlan). Any node whose state name moves
-//     invalidates the plan on the next query, and the rebuild wires
-//     the mixture over every node's cached pools (snap.PlanPools),
-//     each plan flipping coins from its own copies of the pools' PCG
-//     states, so the unchanged nodes' pools are shared, not restored
-//     again.
+//   - A per-node *summary cache*, keyed by the ETag that names the
+//     node's plan instance: a query revalidates with If-None-Match, so
+//     a node whose plan has not changed costs one header round-trip
+//     (304, a cache hit) and only a changed node ships its summary. A
+//     node that does not summarize (a sampler node, which answers 501,
+//     or a peer without the endpoint) is fetched through its snapshot
+//     instead, keyed by the content-addressed snap.Name it advertises:
+//     304 on a match, a v2 delta folded onto the cached bytes and
+//     verified against the advertised name, or a full fetch. A
+//     framework-kind snapshot is summarized on arrival (snap.Summarize,
+//     over the restored pool and a copy of its PCG), so every
+//     framework-kind plan is one mixture over summaries; other kinds
+//     keep their decoded states for snap.BuildMergePlan.
+//   - A *merge-plan cache* (DESIGN.md §9): while no node's cache entry
+//     moves, queries reuse the prepared snap.MergePlan and pay only
+//     their own mixture draws. The plan's thinning coins come from the
+//     aggregator's seed, so equal summaries and an equal seed rebuild
+//     an equal plan: reuse changes nothing but CPU time.
 //
 // GET /metrics serves the hit and transfer counters that quantify both
 // trades (the tp_agg_* series, also read in-process through Counters)
@@ -64,9 +58,7 @@ import (
 // (singleflight), so a query may answer from state fetched
 // microseconds before its own arrival — bounded by one fetch
 // round-trip, never by a cache TTL. Sequential queries always
-// revalidate fresh, and the plan cache can serve a reused plan only
-// when every node's advertised state is unchanged, where stale and
-// fresh coincide.
+// revalidate fresh.
 //
 // The fetch is all-or-nothing: a node that fails to answer fails the
 // query (HTTP 502) rather than being silently dropped, because a
@@ -75,23 +67,24 @@ import (
 // the caller believes is the global law. The 502/422 error body names
 // the node whose fetch failed and echoes the request's tracing ID, so
 // one fleet-wide failure is attributable from the caller's side alone.
-// Merge refusals (window kinds, parameter mismatches across nodes)
-// answer 422 with snap's error text, window refusals via
-// ErrWindowMergeUnsupported.
+// Merge refusals (window kinds, parameter mismatches across nodes,
+// summaries or snapshots that do not decode) answer 422 with snap's
+// error text, window refusals via ErrWindowMergeUnsupported.
 type Aggregator struct {
-	urls    []string
-	clients []*Client
-	caches  []*nodeCache
-	seed    uint64
-	ctr     atomic.Uint64
-	cfg     AggregatorConfig
+	urls     []string
+	clients  []*Client
+	caches   []*nodeCache
+	seed     uint64
+	ctr      atomic.Uint64
+	installs atomic.Uint64
+	cfg      AggregatorConfig
 
-	// The merge-plan cache: plan answers queries while planKey (the
-	// \x00-joined node state names) matches the current fan-out's
-	// fingerprint. planMu serializes rebuild-vs-reuse decisions;
-	// MergePlan itself is safe for concurrent draws.
+	// The merge-plan cache: plan answers queries while planKey (every
+	// node's cache-entry sequence number) matches the current fan-out.
+	// planMu serializes rebuild-vs-reuse decisions; MergePlan itself is
+	// safe for concurrent draws.
 	planMu    sync.Mutex
-	planKey   string
+	planKey   []uint64
 	plan      *snap.MergePlan
 	planPools int
 
@@ -105,62 +98,89 @@ type Aggregator struct {
 // value reproduces NewAggregator's behavior.
 type AggregatorConfig struct {
 	// QueryTimeout bounds each query's whole node fan-out — every
-	// snapshot revalidation, delta fold, or full fetch, including time
-	// spent waiting on another query's shared in-flight fetch — so one
-	// hung node fails queries with 502 after the deadline instead of
-	// stalling them forever. 0 (the default) imposes no deadline beyond
-	// the HTTP client's own.
+	// summary or snapshot revalidation, delta fold, or full fetch,
+	// including time spent waiting on another query's shared in-flight
+	// fetch — so one hung node fails queries with 502 after the
+	// deadline instead of stalling them forever. 0 (the default)
+	// imposes no deadline beyond the HTTP client's own.
 	QueryTimeout time.Duration
 }
 
-// nodeCache is one node's cached snapshot: the advertised state name
-// and the nodeCut installed under it. mu guards the fields and the
-// singleflight slot only — never a network round-trip; the fetch
-// itself runs in refreshNode with the lock released, so a slow node
-// serializes nothing but its own refresh.
+// nodeCache is one node's cache entry plus how to refresh it. mu
+// guards the fields and the singleflight slot only — never a network
+// round-trip; the fetch itself runs in refreshNode with the lock
+// released, so a slow node serializes nothing but its own refresh.
+// snapshots records that the node does not summarize; want is the
+// widest group count any query has asked of the node, which every
+// summary fetch requests.
 type nodeCache struct {
-	mu       sync.Mutex
-	name     string
-	cut      *nodeCut
-	inflight *refreshCall
+	mu        sync.Mutex
+	entry     *nodeEntry
+	snapshots bool
+	want      int
+	inflight  *refreshCall
 }
 
-// nodeCut is one node state as the aggregator keeps it, immutable once
-// installed. The base the next delta folds onto is the decoded cut for
-// a coordinator node (coord) and the full v1 bytes for a bare-sampler
-// node (raw). states are the per-shard sampler states the merge reads,
-// sharing coord's memory; pools are those states restored once, with
-// sample.FromState's validation, and shared by every plan built while
-// the node's state name holds (nil for kinds that merge only through
-// snap.BuildMergePlan).
-type nodeCut struct {
-	coord  *shard.CoordinatorState
-	raw    []byte
+// nodeEntry is one node state as the aggregator keeps it, immutable
+// once installed. name is what the next fetch revalidates with: the
+// summary's ETag, or the state name of a snapshot. sums are the
+// node's summaries (framework kinds: the node's own, or one per pool of
+// a fetched snapshot); states are the decoded states of any other kind,
+// which merge through snap.BuildMergePlan. raw is a fetched snapshot's
+// full v1 bytes, the base its next delta folds onto. seq is unique per
+// install; the plan cache keys on it.
+type nodeEntry struct {
+	name   string
+	seq    uint64
+	sums   []*snap.Summary
 	states []sample.State
-	pools  []*snap.Pool
+	raw    []byte
+}
+
+// covers reports whether the entry answers a k-sample query.
+func (e *nodeEntry) covers(k int) bool {
+	for _, s := range e.sums {
+		if !s.Covers(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// specs lists the specs the entry's pools were built with.
+func (e *nodeEntry) specs() []sample.Spec {
+	var specs []sample.Spec
+	for _, s := range e.sums {
+		specs = append(specs, s.Spec)
+	}
+	for _, st := range e.states {
+		specs = append(specs, st.Spec)
+	}
+	return specs
 }
 
 // refreshCall is one in-flight node refresh, shared by every query
-// that needs the node while it runs (singleflight). The fields are
-// written once, before done is closed; waiters read them only after
-// <-done, which is the happens-before edge.
+// that needs the node while it runs (singleflight). k is the group
+// count it fetches. The result fields are written once, before done is
+// closed; waiters read them only after <-done, which is the
+// happens-before edge.
 type refreshCall struct {
-	done chan struct{}
-	cut  *nodeCut
-	name string
-	err  error
+	done  chan struct{}
+	k     int
+	entry *nodeEntry
+	err   error
 }
 
 // NewAggregator builds an aggregator over the given node base URLs.
-// seed feeds the mixture randomness; each query derives a fresh merge
-// seed from it. Note the library-wide query contract still applies
-// across the network: the per-pool acceptance coins are frozen in the
-// fetched snapshot bytes, so repeated queries against *unchanged*
-// nodes replay correlated trials rather than being independent draws
-// (the cached merge plan makes that reuse explicit and cheap). For k
-// mutually independent samples, ask for them in one query (?k=,
-// served by disjoint query groups); across queries, independence
-// returns as nodes ingest and their snapshots move.
+// seed feeds the plan's thinning coins and the mixture randomness; each
+// query derives a fresh mixture seed from it. Note the library-wide
+// query contract still applies across the network: the per-pool
+// acceptance coins are flipped once per node plan, so repeated queries
+// against *unchanged* nodes replay correlated trials rather than being
+// independent draws (the cached merge plan makes that reuse explicit
+// and cheap). For k mutually independent samples, ask for them in one
+// query (?k=, served by disjoint query groups); across queries,
+// independence returns as nodes ingest and their plans move.
 func NewAggregator(seed uint64, nodeURLs ...string) *Aggregator {
 	return NewAggregatorConfig(seed, AggregatorConfig{}, nodeURLs...)
 }
@@ -203,12 +223,13 @@ func (a *Aggregator) Metrics() *obs.Registry { return a.reg }
 // counters: the same counters GET /metrics serves as tp_agg_*_total.
 func (a *Aggregator) Counters() AggregatorCounters {
 	return AggregatorCounters{
-		CacheHits:    a.met.hits.Value(),
-		DeltaFetches: a.met.deltas.Value(),
-		FullFetches:  a.met.fulls.Value(),
-		BytesFetched: a.met.bytesFetch.Value(),
-		PlanHits:     a.met.planHits.Value(),
-		PlanRebuilds: a.met.planRebuilds.Value(),
+		CacheHits:      a.met.hits.Value(),
+		SummaryFetches: a.met.summaries.Value(),
+		DeltaFetches:   a.met.deltas.Value(),
+		FullFetches:    a.met.fulls.Value(),
+		BytesFetched:   a.met.bytesFetch.Value(),
+		PlanHits:       a.met.planHits.Value(),
+		PlanRebuilds:   a.met.planRebuilds.Value(),
 	}
 }
 
@@ -256,13 +277,13 @@ func (a *Aggregator) handleSampleK(w http.ResponseWriter, r *http.Request) {
 
 func (a *Aggregator) answer(w http.ResponseWriter, r *http.Request, k int) {
 	a.met.queries.Inc()
-	plan, pools, err := a.queryPlan(r.Context())
+	plan, pools, err := a.queryPlan(r.Context(), k)
 	if err != nil {
 		a.met.queryErrs.Inc()
 		status := http.StatusBadGateway
 		var refused *mergeRefusedError
 		if errors.As(err, &refused) {
-			// The fleet answered; its snapshots don't compose. 422 keeps
+			// The fleet answered; its states don't compose. 422 keeps
 			// that distinct from node unreachability.
 			status = http.StatusUnprocessableEntity
 		}
@@ -275,7 +296,7 @@ func (a *Aggregator) answer(w http.ResponseWriter, r *http.Request, k int) {
 		return
 	}
 	// A fresh seed per query randomizes the mixture draws; the trial
-	// coins inside the plan stay whatever the nodes froze (see
+	// coins inside the plan stay whatever the nodes flipped (see
 	// NewAggregator's independence note).
 	qseed := a.seed + a.ctr.Add(1)*0x9e3779b97f4a7c15
 	outs, count := plan.SampleK(qseed, k)
@@ -300,7 +321,7 @@ func transientStatus(status int) bool {
 }
 
 // mergeRefusedError marks errors where every node answered but the
-// snapshots refuse to merge (window kinds, mismatched constructors).
+// states refuse to merge (window kinds, mismatched constructors).
 type mergeRefusedError struct{ err error }
 
 func (e *mergeRefusedError) Error() string { return e.err.Error() }
@@ -309,8 +330,8 @@ func (e *mergeRefusedError) Unwrap() error { return e.err }
 // nodeFetchError attributes one node-fetch failure to the node that
 // caused it, so the aggregator's error body can name the URL without
 // parsing its own message text. what is the classification phrase
-// ("unreachable", "refused its snapshot", "snapshot"); the rendered
-// message matches the pre-typed fmt.Errorf texts byte for byte.
+// ("unreachable", "refused its snapshot", "snapshot", "summary",
+// "does not merge").
 type nodeFetchError struct {
 	URL  string
 	what string
@@ -322,9 +343,12 @@ func (e *nodeFetchError) Error() string {
 }
 func (e *nodeFetchError) Unwrap() error { return e.err }
 
-// Merge brings every node's cached snapshot up to date (revalidate,
-// fold a delta, or refetch) and wires the global merged sampler; pools
-// is the number of per-shard states the mixture spans. It is exported
+// allGroups asks a node for every group it provisions: nodes clamp k.
+const allGroups = 1<<31 - 1
+
+// Merge brings every node's cached summary or snapshot up to date and
+// wires the global merged sampler over every provisioned group; pools
+// is the number of per-shard pools the mixture spans. It is exported
 // for in-process callers (benchmarks, embedding applications) that
 // want the merged sampler itself rather than one HTTP answer from it.
 // Cancellation of ctx applies to every node fetch, and a tracing ID in
@@ -332,7 +356,7 @@ func (e *nodeFetchError) Unwrap() error { return e.err }
 // each node fetch. The merged sampler is a seeded view over the same
 // cached merge plan the HTTP answer path draws from.
 func (a *Aggregator) Merge(ctx context.Context) (*snap.Merged, int, error) {
-	plan, pools, err := a.queryPlan(ctx)
+	plan, pools, err := a.queryPlan(ctx, allGroups)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -345,11 +369,10 @@ func (a *Aggregator) Merge(ctx context.Context) (*snap.Merged, int, error) {
 }
 
 // queryPlan runs the node fan-out (each node through its singleflight
-// refresh), fingerprints the advertised state names, and returns the
-// cached merge plan on a fingerprint match — else builds, caches, and
-// returns a fresh one. pools is the number of per-shard states the
-// plan's mixture spans.
-func (a *Aggregator) queryPlan(ctx context.Context) (*snap.MergePlan, int, error) {
+// refresh, covering k groups) and returns the cached merge plan when no
+// node's cache entry moved — else builds, caches, and returns a fresh
+// one. pools is the number of per-shard pools the plan's mixture spans.
+func (a *Aggregator) queryPlan(ctx context.Context, k int) (*snap.MergePlan, int, error) {
 	if len(a.clients) == 0 {
 		return nil, 0, &mergeRefusedError{errors.New("serve: aggregator has no nodes")}
 	}
@@ -359,9 +382,8 @@ func (a *Aggregator) queryPlan(ctx context.Context) (*snap.MergePlan, int, error
 		defer cancel()
 	}
 	type fetched struct {
-		cut  *nodeCut
-		name string
-		err  error
+		entry *nodeEntry
+		err   error
 	}
 	results := make([]fetched, len(a.clients))
 	var wg sync.WaitGroup
@@ -369,86 +391,113 @@ func (a *Aggregator) queryPlan(ctx context.Context) (*snap.MergePlan, int, error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cut, name, err := a.nodeStates(ctx, i)
-			results[i] = fetched{cut: cut, name: name, err: err}
+			entry, err := a.nodeEntry(ctx, i, k)
+			results[i] = fetched{entry: entry, err: err}
 		}()
 	}
 	wg.Wait()
-	var states []sample.State
-	var pools []*snap.Pool
-	restored := true
-	var key strings.Builder
-	for _, res := range results {
+	key := make([]uint64, len(results))
+	entries := make([]*nodeEntry, len(results))
+	for i, res := range results {
 		if res.err != nil {
 			return nil, 0, res.err
 		}
-		states = append(states, res.cut.states...)
-		pools = append(pools, res.cut.pools...)
-		restored = restored && res.cut.pools != nil
-		// State names are hex (content-addressed snap.Name), so \x00 is
-		// an unambiguous joiner.
-		key.WriteString(res.name)
-		key.WriteByte(0)
+		key[i], entries[i] = res.entry.seq, res.entry
 	}
-	fp := key.String()
 	a.planMu.Lock()
 	defer a.planMu.Unlock()
-	if a.plan != nil && a.planKey == fp {
+	if a.plan != nil && slices.Equal(a.planKey, key) {
 		a.met.planHits.Inc()
 		return a.plan, a.planPools, nil
 	}
 	tMerge := time.Now()
+	plan, pools, err := a.buildPlan(entries)
+	a.met.mergeTime.ObserveSince(tMerge)
+	if err != nil {
+		return nil, 0, err
+	}
+	a.met.planRebuilds.Inc()
+	a.plan, a.planKey, a.planPools = plan, key, pools
+	return plan, pools, nil
+}
+
+// buildPlan checks that every node's pools merge with node 0's, naming
+// the first node whose do not, and wires the mixture: over summaries
+// for the framework kinds (snap.PlanSummaries, thinning coins seeded by
+// the aggregator's seed), over decoded states for every other kind
+// (snap.BuildMergePlan). pools is the number of pools the mixture
+// spans.
+func (a *Aggregator) buildPlan(entries []*nodeEntry) (*snap.MergePlan, int, error) {
+	ref := entries[0].specs()[0]
+	var sums []*snap.Summary
+	var states []sample.State
+	for i, e := range entries {
+		for _, spec := range e.specs() {
+			if err := snap.CompatibleSpecs(ref, spec); err != nil {
+				return nil, 0, &mergeRefusedError{&nodeFetchError{URL: a.urls[i], what: "does not merge", err: err}}
+			}
+		}
+		sums = append(sums, e.sums...)
+		states = append(states, e.states...)
+	}
 	var plan *snap.MergePlan
 	var err error
-	if restored {
-		// Every node's pools were restored when its state was
-		// installed: the plan only wires the mixture over them.
-		plan, err = snap.PlanPools(pools...)
+	if sums != nil {
+		plan, err = snap.PlanSummaries(a.seed, sums...)
 	} else {
 		plan, err = snap.BuildMergePlan(states...)
 	}
-	a.met.mergeTime.ObserveSince(tMerge)
 	if err != nil {
 		return nil, 0, &mergeRefusedError{err}
 	}
-	a.met.planRebuilds.Inc()
-	a.plan, a.planKey, a.planPools = plan, fp, len(states)
-	return plan, len(states), nil
+	pools := len(states)
+	for _, s := range sums {
+		pools += len(s.Lens)
+	}
+	return plan, pools, nil
 }
 
-// nodeStates returns node i's current cut and advertised state name,
-// serving from and refreshing its cache.
-// Concurrent callers share one in-flight refresh per node; the lock is
-// never held across the network. Errors come back pre-classified:
-// composition problems (refusals, undecodable or unfoldable snapshots)
-// wrapped in mergeRefusedError, everything else as unreachability —
-// including this caller's own context expiring while the shared fetch
-// is still out.
-func (a *Aggregator) nodeStates(ctx context.Context, i int) (*nodeCut, string, error) {
+// nodeEntry returns node i's current cache entry, covering k groups,
+// serving from and refreshing its cache. Concurrent callers share one
+// in-flight refresh per node; the lock is never held across the
+// network. A caller that joined a refresh asking fewer groups than it
+// needs waits for it and starts the next one: every refresh asks the
+// widest count any caller has registered, so the second one covers.
+// Errors come back pre-classified: composition problems (refusals,
+// undecodable summaries or snapshots) wrapped in mergeRefusedError,
+// everything else as unreachability — including this caller's own
+// context expiring while the shared fetch is still out.
+func (a *Aggregator) nodeEntry(ctx context.Context, i, k int) (*nodeEntry, error) {
 	c := a.caches[i]
-	c.mu.Lock()
-	call := c.inflight
-	if call == nil {
-		call = &refreshCall{done: make(chan struct{})}
-		c.inflight = call
-		// The fetch runs detached from any single query's context — other
-		// queries may be waiting on it — but keeps ctx's values, so the
-		// first query's X-Request-ID rides the node fetch. The
-		// QueryTimeout (already applied to ctx by queryPlan) is re-applied
-		// to the detached context so an abandoned fetch still dies.
-		fctx := context.WithoutCancel(ctx)
-		var cancel context.CancelFunc
-		if a.cfg.QueryTimeout > 0 {
-			fctx, cancel = context.WithTimeout(fctx, a.cfg.QueryTimeout)
+	for {
+		c.mu.Lock()
+		c.want = max(c.want, k)
+		call := c.inflight
+		if call == nil {
+			call = &refreshCall{done: make(chan struct{}), k: c.want}
+			c.inflight = call
+			// The fetch runs detached from any single query's context —
+			// other queries may be waiting on it — but keeps ctx's
+			// values, so the first query's X-Request-ID rides the node
+			// fetch. The QueryTimeout (already applied to ctx by
+			// queryPlan) is re-applied to the detached context so an
+			// abandoned fetch still dies.
+			fctx := context.WithoutCancel(ctx)
+			var cancel context.CancelFunc
+			if a.cfg.QueryTimeout > 0 {
+				fctx, cancel = context.WithTimeout(fctx, a.cfg.QueryTimeout)
+			}
+			go a.refreshNode(fctx, cancel, i, c, call)
 		}
-		go a.refreshNode(fctx, cancel, i, c, call)
-	}
-	c.mu.Unlock()
-	select {
-	case <-call.done:
-		return call.cut, call.name, call.err
-	case <-ctx.Done():
-		return nil, "", &nodeFetchError{URL: a.urls[i], what: "unreachable", err: ctx.Err()}
+		c.mu.Unlock()
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			return nil, &nodeFetchError{URL: a.urls[i], what: "unreachable", err: ctx.Err()}
+		}
+		if call.err != nil || call.entry.covers(k) {
+			return call.entry, call.err
+		}
 	}
 }
 
@@ -461,138 +510,179 @@ func (a *Aggregator) refreshNode(ctx context.Context, cancel context.CancelFunc,
 		defer cancel()
 	}
 	t0 := time.Now()
-	cut, name, err := a.refresh(ctx, i, c)
+	entry, err := a.refresh(ctx, i, c, call.k)
 	a.met.fetchLatency(a.urls[i]).ObserveSince(t0)
 	if err != nil {
 		a.met.fetchErrors(a.urls[i]).Inc()
 	}
-	call.cut, call.name, call.err = cut, name, err
+	call.entry, call.err = entry, err
 	c.mu.Lock()
 	c.inflight = nil
 	c.mu.Unlock()
 	close(call.done)
 }
 
-// refresh revalidates node i's cache: 304 serves the cached cut, a
-// delta folds onto the cached base (verified against the advertised
-// name — any mismatch degrades to one full fetch, never to wrong
-// state), anything else installs a full snapshot. Exactly one refresh
-// per node runs at a time (the singleflight slot), so the brief
-// c.mu sections only fence the fields against concurrent readers.
-func (a *Aggregator) refresh(ctx context.Context, i int, c *nodeCache) (*nodeCut, string, error) {
+// refresh revalidates node i's cache for k groups: through the node's
+// summary, or through its snapshot once the node has answered /summary
+// with a non-transient error status (a sampler node's 501, a 404 from a
+// peer without the endpoint). Exactly one refresh per node runs at a
+// time (the singleflight slot), so the brief c.mu sections only fence
+// the fields against concurrent readers.
+func (a *Aggregator) refresh(ctx context.Context, i int, c *nodeCache, k int) (*nodeEntry, error) {
 	c.mu.Lock()
-	since, cached := c.name, c.cut
+	cached, snapshots := c.entry, c.snapshots
 	c.mu.Unlock()
-	res, err := a.clients[i].SnapshotSince(ctx, since)
+	if !snapshots {
+		entry, err := a.fetchSummary(ctx, i, c, cached, k)
+		if !errors.Is(err, errNoSummary) {
+			return entry, err
+		}
+		c.mu.Lock()
+		c.snapshots = true
+		c.mu.Unlock()
+	}
+	return a.fetchSnapshot(ctx, i, c, cached)
+}
+
+// fetchSummary revalidates a summarizing node: 304 serves the cached
+// summary when it covers k groups, anything else installs the fetched
+// summary. It returns errNoSummary when the node does not summarize.
+func (a *Aggregator) fetchSummary(ctx context.Context, i int, c *nodeCache, cached *nodeEntry, k int) (*nodeEntry, error) {
+	etag := ""
+	if cached != nil && cached.raw == nil && cached.covers(k) {
+		etag = cached.name
+	}
+	res, err := a.clients[i].Summary(ctx, k, etag)
+	var status *StatusError
+	if errors.As(err, &status) && !transientStatus(status.Status) {
+		return nil, errNoSummary
+	}
 	if err != nil {
-		return nil, "", a.classify(i, err)
+		return nil, a.classify(i, err)
 	}
 	if res.NotModified {
-		if cached == nil {
+		if etag == "" {
+			return nil, a.refused(i, "summary", errors.New("304 to an unconditional request"))
+		}
+		a.met.hits.Inc()
+		return cached, nil
+	}
+	a.met.bytesFetch.Add(int64(len(res.Data)))
+	a.met.summaries.Inc()
+	sum, err := snap.DecodeSummary(res.Data)
+	if err == nil && !sum.Covers(k) {
+		err = fmt.Errorf("summary covers %d groups, asked %d", len(sum.Groups), k)
+	}
+	if err != nil {
+		return nil, a.refused(i, "summary", err)
+	}
+	return a.install(c, &nodeEntry{name: res.ETag, sums: []*snap.Summary{sum}}), nil
+}
+
+// fetchSnapshot revalidates a node that does not summarize: 304 serves
+// the cached entry, a delta folds onto the cached bytes (verified
+// against the advertised name — any mismatch degrades to one full
+// fetch, never to wrong state), anything else installs a full snapshot.
+func (a *Aggregator) fetchSnapshot(ctx context.Context, i int, c *nodeCache, cached *nodeEntry) (*nodeEntry, error) {
+	since := ""
+	if cached != nil && cached.raw != nil {
+		since = cached.name
+	}
+	res, err := a.clients[i].SnapshotSince(ctx, since)
+	if err != nil {
+		return nil, a.classify(i, err)
+	}
+	if res.NotModified {
+		if since == "" {
 			// A 304 against an empty cache (e.g. the peer echoing a
 			// stale validator) cannot be served; refetch whole.
 			return a.fetchFull(ctx, i, c)
 		}
 		a.met.hits.Inc()
-		return cached, since, nil
+		return cached, nil
 	}
 	a.met.bytesFetch.Add(int64(len(res.Data)))
 	if res.Base == "" {
 		a.met.fulls.Inc()
-		return a.installFull(i, c, res.Data, res.Name)
+		return a.installSnapshot(i, c, res.Data, res.Name)
 	}
-	if res.Base != since || cached == nil {
+	if res.Base != since {
 		return a.fetchFull(ctx, i, c)
 	}
-	next, name, err := fold(cached, since, res.Data)
-	if err != nil || (res.Name != "" && name != res.Name) {
+	full, err := applyAnyDelta(cached.raw, res.Data)
+	if err != nil {
+		return a.fetchFull(ctx, i, c)
+	}
+	name := snap.Name(full)
+	if res.Name != "" && name != res.Name {
 		return a.fetchFull(ctx, i, c)
 	}
 	a.met.deltas.Inc()
-	return a.install(i, c, next, name)
-}
-
-// fold applies a fetched v2 delta to the cached cut named since and
-// returns the successor with the state name of its v1 bytes. A
-// coordinator's delta folds onto a copy of the decoded base, which
-// stays intact whatever the delta holds, and the result passes the
-// decoder's structural checks before it is encoded and named.
-func fold(cached *nodeCut, since string, delta []byte) (nodeCut, string, error) {
-	if cached.coord == nil {
-		full, err := applyAnyDelta(cached.raw, delta)
-		if err != nil {
-			return nodeCut{}, "", err
-		}
-		return nodeCut{raw: full}, snap.Name(full), nil
-	}
-	coord, err := cached.coord.Apply(delta, since)
-	if err != nil {
-		return nodeCut{}, "", err
-	}
-	return nodeCut{coord: coord}, snap.Name(coord.Encode()), nil
+	return a.installSnapshot(i, c, full, name)
 }
 
 // fetchFull unconditionally fetches node i's full snapshot and
 // installs it in the cache.
-func (a *Aggregator) fetchFull(ctx context.Context, i int, c *nodeCache) (*nodeCut, string, error) {
+func (a *Aggregator) fetchFull(ctx context.Context, i int, c *nodeCache) (*nodeEntry, error) {
 	res, err := a.clients[i].SnapshotSince(ctx, "")
 	if err != nil {
-		return nil, "", a.classify(i, err)
+		return nil, a.classify(i, err)
 	}
 	a.met.bytesFetch.Add(int64(len(res.Data)))
 	a.met.fulls.Inc()
-	return a.installFull(i, c, res.Data, res.Name)
+	return a.installSnapshot(i, c, res.Data, res.Name)
 }
 
-// installFull decodes a full snapshot of either flavor and installs it:
-// a coordinator's as its decoded cut, a bare sampler's as its bytes.
-func (a *Aggregator) installFull(i int, c *nodeCache, full []byte, name string) (*nodeCut, string, error) {
+// installSnapshot decodes a full snapshot of either flavor into its
+// per-pool states — a coordinator's one per shard, a bare sampler's
+// one — and installs it: summarized, for the framework kinds, so the
+// node joins the fleet's one mixture over summaries; as decoded states
+// for every other kind.
+func (a *Aggregator) installSnapshot(i int, c *nodeCache, full []byte, name string) (*nodeEntry, error) {
 	if name == "" {
 		name = snap.Name(full)
 	}
-	var cut nodeCut
-	if shard.IsCoordinatorSnapshot(full) {
-		var err error
-		if cut.coord, err = shard.DecodeCoordinator(full); err != nil {
-			return nil, "", a.refused(i, err)
-		}
-	} else {
-		cut.raw = full
-	}
-	return a.install(i, c, cut, name)
-}
-
-// install explodes a node state into its per-shard states, restores
-// their pools, and commits the cut to node i's cache. The restore runs
-// here, once per state name, so a plan rebuild for another node's move
-// reuses this node's pools.
-func (a *Aggregator) install(i int, c *nodeCache, cut nodeCut, name string) (*nodeCut, string, error) {
+	var states []sample.State
 	var err error
-	if cut.coord != nil {
-		cut.states, err = cut.coord.SamplerStates()
+	if shard.IsCoordinatorSnapshot(full) {
+		states, err = shard.SamplerStates(full)
 	} else {
-		// A bare sampler snapshot (a node serving sample/snap bytes
-		// without a coordinator) joins the mixture as a single pool.
 		var st sample.State
-		st, err = snap.Decode(cut.raw)
-		cut.states = []sample.State{st}
-	}
-	if err == nil {
-		cut.pools, err = snap.RestorePools(cut.states)
+		st, err = snap.Decode(full)
+		states = []sample.State{st}
 	}
 	if err != nil {
-		return nil, "", a.refused(i, err)
+		return nil, a.refused(i, "snapshot", err)
 	}
-	c.mu.Lock()
-	c.name, c.cut = name, &cut
-	c.mu.Unlock()
-	return &cut, name, nil
+	entry := &nodeEntry{name: name, raw: full}
+	for _, st := range states {
+		sum, err := snap.Summarize(st)
+		if err != nil {
+			return nil, a.refused(i, "snapshot", err)
+		}
+		if sum == nil {
+			entry.sums, entry.states = nil, states
+			break
+		}
+		entry.sums = append(entry.sums, sum)
+	}
+	return a.install(c, entry), nil
 }
 
-// refused classifies a snapshot node i served that does not decode or
-// restore as a composition refusal naming the node.
-func (a *Aggregator) refused(i int, err error) error {
-	return &mergeRefusedError{&nodeFetchError{URL: a.urls[i], what: "snapshot", err: err}}
+// install stamps an entry with a fresh sequence number and commits it
+// to the node's cache.
+func (a *Aggregator) install(c *nodeCache, entry *nodeEntry) *nodeEntry {
+	entry.seq = a.installs.Add(1)
+	c.mu.Lock()
+	c.entry = entry
+	c.mu.Unlock()
+	return entry
+}
+
+// refused classifies a summary or snapshot node i served that does not
+// decode or restore as a composition refusal naming the node.
+func (a *Aggregator) refused(i int, what string, err error) error {
+	return &mergeRefusedError{&nodeFetchError{URL: a.urls[i], what: what, err: err}}
 }
 
 // classify maps a fetch error for node i onto the aggregator's

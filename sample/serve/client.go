@@ -220,6 +220,55 @@ func (c *Client) SnapshotSince(ctx context.Context, since string) (SnapshotResul
 	}, nil
 }
 
+// SummaryResult is one answer from Summary.
+type SummaryResult struct {
+	// Data is the encoded acceptance summary (snap.DecodeSummary); nil
+	// when NotModified.
+	Data []byte
+	// ETag names the node's plan instance the summary was read from.
+	ETag string
+	// NotModified reports a 304: the plan instance is still the one the
+	// etag argument named, so the caller's summary stays exact.
+	NotModified bool
+}
+
+// Summary fetches a node's acceptance summary covering at least k
+// query groups (clamped to the node's provisioned count), conditionally
+// on etag (from an earlier SummaryResult; "" fetches unconditionally):
+// a node still serving that plan instance answers 304 with no body.
+// A node that does not summarize answers with an error status (501 from
+// a sampler node, 404 from a peer without the endpoint), reported as a
+// *StatusError; its snapshot is the fallback.
+func (c *Client) Summary(ctx context.Context, k int, etag string) (SummaryResult, error) {
+	req, err := c.newRequest(ctx, http.MethodGet, c.Base+"/summary?k="+strconv.Itoa(k), nil)
+	if err != nil {
+		return SummaryResult{}, fmt.Errorf("serve: summary %s: %w", c.Base, err)
+	}
+	if etag != "" {
+		req.Header.Set("If-None-Match", `"`+etag+`"`)
+	}
+	resp, err := c.http().Do(req)
+	if err != nil {
+		return SummaryResult{}, fmt.Errorf("serve: summary %s: %w", c.Base, err)
+	}
+	defer resp.Body.Close()
+	tag := strings.Trim(resp.Header.Get("ETag"), `"`)
+	if resp.StatusCode == http.StatusNotModified {
+		return SummaryResult{ETag: tag, NotModified: true}, nil
+	}
+	if resp.StatusCode != http.StatusOK {
+		return SummaryResult{}, responseError(resp)
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSnapshotFetch+1))
+	if err != nil {
+		return SummaryResult{}, fmt.Errorf("serve: summary %s: %w", c.Base, err)
+	}
+	if len(data) > maxSnapshotFetch {
+		return SummaryResult{}, fmt.Errorf("serve: summary from %s exceeds %d bytes", c.Base, int64(maxSnapshotFetch))
+	}
+	return SummaryResult{Data: data, ETag: tag}, nil
+}
+
 // decodeResponse parses a JSON 2xx body into out, or the error
 // envelope otherwise.
 func decodeResponse(resp *http.Response, out any) error {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/sample"
 	"repro/sample/shard"
 	"repro/sample/snap"
 )
@@ -234,21 +235,22 @@ func TestSnapshotConditionalFetch(t *testing.T) {
 	}
 }
 
-// TestAggregatorSnapshotCache: per node and query exactly one of
-// hit/delta/full advances; unchanged nodes cost no snapshot bodies,
-// a changed node costs only its delta, and the merged answers stay
+// TestAggregatorSnapshotCache: for nodes that do not summarize (sampler
+// nodes, fetched through /snapshot), per node and query exactly one of
+// hit/delta/full advances; unchanged nodes cost no snapshot bodies, a
+// changed node costs only its delta, and the merged answers stay
 // available throughout.
 func TestAggregatorSnapshotCache(t *testing.T) {
-	var nodes []*Node
 	var urls []string
 	for j := 0; j < 2; j++ {
-		n := NewNode(newTestCoordinator(uint64(j)+1), NodeConfig{})
+		n := NewSamplerNode(sample.NewLp(2, 64, 1000, 0.1, uint64(j)+1), NodeConfig{})
 		defer n.Close()
 		srv := httptest.NewServer(n.Handler())
 		defer srv.Close()
-		nodes = append(nodes, n)
 		urls = append(urls, srv.URL)
-		n.Coordinator().ProcessBatch([]int64{1, 2, 3, 4})
+		if _, err := NewClient(srv.URL).Ingest(context.Background(), []int64{1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	agg := NewAggregator(42, urls...)
 
@@ -258,7 +260,7 @@ func TestAggregatorSnapshotCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Merge: %v", err)
 		}
-		if pools != 4 || merged.StreamLen() == 0 {
+		if pools != 2 || merged.StreamLen() == 0 {
 			t.Fatalf("merged %d pools, mass %d", pools, merged.StreamLen())
 		}
 	}
@@ -278,7 +280,9 @@ func TestAggregatorSnapshotCache(t *testing.T) {
 		t.Fatalf("revalidation transferred %d bytes", c.BytesFetched-bytesAfterCold)
 	}
 
-	nodes[0].Coordinator().ProcessBatch([]int64{5, 6})
+	if _, err := NewClient(urls[0]).Ingest(context.Background(), []int64{5, 6}); err != nil {
+		t.Fatal(err)
+	}
 	query() // one node moved: its delta, the other a hit
 	c = agg.Counters()
 	if c.DeltaFetches != 1 || c.CacheHits != 3 || c.FullFetches != 2 {

@@ -11,6 +11,7 @@ package serve
 // rebuilds whichever shape wrote it, so crash recovery is uniform.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -32,11 +33,14 @@ import (
 // bytes with, for a coordinator, the decoded state they encode (nil
 // for a bare sampler). Epoch is the state epoch the node's cut cache
 // keys on (see Node.cut): it moves with every call that can change
-// Cut's bytes — ingest and queries alike.
+// Cut's bytes — ingest and queries alike. Summary is the coordinator's
+// acceptance summary with the epoch it is current at; a bare sampler
+// has none and answers errNoSummary.
 type engine interface {
 	ProcessBatch(items []int64, ends []int) []error
 	SampleKLenShared(k int) ([]sample.Outcome, int, int64, bool)
 	Cut() (*shard.CoordinatorState, []byte, error)
+	Summary(k int) (*snap.Summary, uint64, error)
 	Epoch() uint64
 	StreamLen() int64
 	BitsUsed() int64
@@ -64,6 +68,9 @@ func (e coordEngine) SampleKLenShared(k int) ([]sample.Outcome, int, int64, bool
 }
 func (e coordEngine) Cut() (*shard.CoordinatorState, []byte, error) {
 	return e.c.Cut()
+}
+func (e coordEngine) Summary(k int) (*snap.Summary, uint64, error) {
+	return e.c.Summary(k)
 }
 func (e coordEngine) Epoch() uint64    { return e.c.Epoch() }
 func (e coordEngine) StreamLen() int64 { return e.c.StreamLen() }
@@ -182,6 +189,14 @@ func (e *samplerEngine) Cut() (*shard.CoordinatorState, []byte, error) {
 	defer e.mu.Unlock()
 	data, err := snap.Snapshot(e.s)
 	return nil, data, err
+}
+
+// errNoSummary refuses /summary on a sampler node: the aggregator
+// fetches its snapshot instead.
+var errNoSummary = errors.New("serve: a sampler node does not summarize; fetch /snapshot")
+
+func (e *samplerEngine) Summary(int) (*snap.Summary, uint64, error) {
+	return nil, 0, errNoSummary
 }
 
 func (e *samplerEngine) Epoch() uint64 {

@@ -48,6 +48,10 @@ type nodeMetrics struct {
 	snapNotMod *obs.Counter
 	snapBytes  *obs.Counter
 
+	// Summary serving: how GET /summary answered.
+	sumFull   *obs.Counter
+	sumNotMod *obs.Counter
+
 	// Cut cache: snapshot cuts (GET /snapshot, checkpoints) answered
 	// from the epoch-keyed last cut versus re-encoded.
 	cutHits   *obs.Counter
@@ -87,6 +91,8 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		snapDelta:  reg.Counter("tp_snapshot_serves_total", "GET /snapshot responses, by result.", obs.Label{Key: "result", Value: "delta"}),
 		snapNotMod: reg.Counter("tp_snapshot_serves_total", "GET /snapshot responses, by result.", obs.Label{Key: "result", Value: "not_modified"}),
 		snapBytes:  reg.Counter("tp_snapshot_bytes_total", "Body bytes served on GET /snapshot."),
+		sumFull:    reg.Counter("tp_summary_serves_total", "GET /summary responses, by result.", obs.Label{Key: "result", Value: "full"}),
+		sumNotMod:  reg.Counter("tp_summary_serves_total", "GET /summary responses, by result.", obs.Label{Key: "result", Value: "not_modified"}),
 		cutHits: reg.Counter("tp_snapshot_cut_cache_total", "Snapshot cuts, by whether the epoch-keyed last cut answered.",
 			obs.Label{Key: "result", Value: "hit"}),
 		cutMisses: reg.Counter("tp_snapshot_cut_cache_total", "Snapshot cuts, by whether the epoch-keyed last cut answered.",
@@ -193,6 +199,18 @@ func (m *nodeMetrics) snapshotServed(result string, bytes int) {
 	m.snapBytes.Add(int64(bytes))
 }
 
+// summaryServed records how one GET /summary answered: 304 or a body.
+func (m *nodeMetrics) summaryServed(notModified bool) {
+	if m == nil {
+		return
+	}
+	if notModified {
+		m.sumNotMod.Inc()
+	} else {
+		m.sumFull.Inc()
+	}
+}
+
 // snapshotCut records one snapshot cut: answered from the cut cache
 // (hit) or drained, encoded and named afresh (miss).
 func (m *nodeMetrics) snapshotCut(hit bool) {
@@ -229,6 +247,7 @@ type aggMetrics struct {
 	bytesFetch   *obs.Counter
 	planHits     *obs.Counter
 	planRebuilds *obs.Counter
+	summaries    *obs.Counter
 }
 
 func newAggMetrics(reg *obs.Registry) *aggMetrics {
@@ -245,6 +264,7 @@ func newAggMetrics(reg *obs.Registry) *aggMetrics {
 			"Queries answered from the cached merge plan (every node's state name unchanged)."),
 		planRebuilds: reg.Counter("tp_agg_plan_rebuilds_total",
 			"Merge-plan rebuilds (first query, or some node's state name moved)."),
+		summaries: reg.Counter("tp_agg_summary_fetches_total", "Node fetches that transferred an acceptance summary."),
 	}
 }
 

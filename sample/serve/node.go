@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -129,10 +130,12 @@ func (cfg NodeConfig) fullEvery() int {
 // Node serves one ingestion engine over HTTP — a shard.Coordinator
 // (NewNode) or a bare sample.Sampler (NewSamplerNode, the shape the
 // single-stream kinds take on the network): batched ingestion,
-// node-local queries, stats, and fleet checkpoints — both on demand
-// (GET /snapshot, the bytes an Aggregator merges) and on a ticker into
-// the configured SnapshotStore. See the package comment for the
-// endpoint inventory and the durability contract.
+// node-local queries, the acceptance summary an Aggregator mixes
+// (GET /summary, coordinator nodes), stats, and fleet checkpoints —
+// both on demand (GET /snapshot, which an Aggregator fetches from a
+// node that does not summarize) and on a ticker into the configured
+// SnapshotStore. See the package comment for the endpoint inventory
+// and the durability contract.
 //
 // Lock order. A goroutine holding one of these locks takes only locks
 // further along its chain, never one before it:
@@ -144,7 +147,9 @@ func (cfg NodeConfig) fullEvery() int {
 //   - ckptMu → mu (read) → cutMu → the engine's own locks: Checkpoint
 //     cuts under the node lock, GET /snapshot enters the chain at mu,
 //     and Close's final cut skips mu, which is closed by then;
-//   - ckptMu → basesMu: a checkpoint write records its base.
+//   - ckptMu → basesMu: a checkpoint write records its base;
+//   - mu (read) → sumMu → the engine's own locks: GET /summary reads or
+//     refreshes the summary cache.
 //
 // batcher.mu and basesMu are leaves, held only for bookkeeping and
 // never across I/O. Handlers take mu (read) around engine work only;
@@ -219,6 +224,21 @@ type Node struct {
 	// (see setStats). /stats loads it without a lock, so a hung store
 	// write cannot dark monitoring.
 	stats atomic.Pointer[checkpointStats]
+
+	// sumMu serializes GET /summary and guards the summary cache: the
+	// last summary served, its encoding and ETag, and the engine epoch
+	// it was current at (see summary). sumBuilds counts the plan
+	// instances this node has summarized; with the random sumPrefix it
+	// names them in the ETag. It identifies a cache entry, not sampler
+	// state, so no checkpoint carries it: a restored node draws a new
+	// prefix.
+	sumMu     sync.Mutex
+	sum       *snap.Summary
+	sumData   []byte
+	sumTag    string
+	sumEpoch  uint64
+	sumPrefix string
+	sumBuilds uint64
 
 	// basesMu guards the ring of recent full-snapshot states kept to
 	// serve /snapshot?since= deltas (see snapshotBaseHistory), held only
@@ -511,12 +531,13 @@ func newNode(eng engine, cfg NodeConfig) *Node {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	n := &Node{
-		eng:    eng,
-		cfg:    cfg,
-		reg:    obs.NewRegistry(),
-		health: obs.NewHealth(),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		eng:       eng,
+		cfg:       cfg,
+		reg:       obs.NewRegistry(),
+		health:    obs.NewHealth(),
+		sumPrefix: strconv.FormatUint(rand.Uint64(), 36),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	n.batch = &batcher{node: n}
 	n.stats.Store(&checkpointStats{})
@@ -890,6 +911,10 @@ func (n *Node) doClose() error {
 //	GET  /snapshot     fleet checkpoint: full v1 wire bytes, 304 on a
 //	                   matching ETag/?since=, or a v2 delta for a recent
 //	                   ?since= base (see handleSnapshot)
+//	GET  /summary      the acceptance summary of the shared query plan
+//	                   (snap.Summary), ≥ ?k= groups; 304 on a matching
+//	                   If-None-Match, 501 on a sampler node (see
+//	                   handleSummary)
 //	GET  /metrics      Prometheus text exposition (DESIGN.md §7)
 //	GET  /healthz      liveness: 200 while the process serves
 //	GET  /readyz       readiness: 503 before ready and from the moment
@@ -907,6 +932,7 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("GET /sample", n.handleSample)
 	mux.HandleFunc("GET /stats", n.handleStats)
 	mux.HandleFunc("GET /snapshot", n.handleSnapshot)
+	mux.HandleFunc("GET /summary", n.handleSummary)
 	mux.Handle("GET /metrics", n.reg.Handler())
 	mux.HandleFunc("GET /healthz", n.health.Liveness)
 	mux.HandleFunc("GET /readyz", n.health.Readiness)
@@ -1252,4 +1278,72 @@ func etagMatches(header, name string) bool {
 		}
 	}
 	return false
+}
+
+// handleSummary serves the acceptance summary an aggregator mixes
+// (snap.Summary) from the plan the node's local queries share. The
+// ETag names the plan instance, not the stream state: a cut drops the
+// coordinator's plan, and the rebuild flips fresh coins at the same
+// stream version. A matching If-None-Match answers 304 — the caller's
+// summary is a prefix of the current one, so it is still exact. A node
+// whose engine cannot summarize (a sampler node, a custom measure)
+// answers 501, which sends the aggregator to /snapshot.
+func (n *Node) handleSummary(w http.ResponseWriter, r *http.Request) {
+	k, err := parseK(r)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, err.Error())
+		return
+	}
+	var data []byte
+	var tag string
+	err = n.locked(func() (err error) {
+		data, tag, err = n.summary(k)
+		return err
+	})
+	if errors.Is(err, errClosed) {
+		refuse(w, r, err)
+		return
+	}
+	if err != nil {
+		writeError(w, r, http.StatusNotImplemented, err.Error())
+		return
+	}
+	w.Header().Set("ETag", `"`+tag+`"`)
+	if etagMatches(r.Header.Get("If-None-Match"), tag) {
+		n.met.summaryServed(true)
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	n.met.summaryServed(false)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	_, _ = w.Write(data)
+}
+
+// summary returns the encoded summary covering min(k, Queries) groups
+// and its ETag. The last one is cached under the engine epoch the
+// engine reported with it: while no ingest, query or materialization
+// has moved the epoch, the cached summary is still current, even across
+// a cut that dropped the plan it came from (a cut changes nothing a
+// summary reads), and serving it touches the engine for one epoch read.
+// Otherwise the engine summarizes, bumping the epoch only if it had to
+// build or extend its plan. The ETag moves exactly when the plan
+// instance does. Callers hold the node read lock (locked).
+func (n *Node) summary(k int) ([]byte, string, error) {
+	n.sumMu.Lock()
+	defer n.sumMu.Unlock()
+	k = min(k, n.eng.Queries())
+	if n.sumData != nil && n.sumEpoch == n.eng.Epoch() && n.sum.Covers(k) {
+		return n.sumData, n.sumTag, nil
+	}
+	sum, epoch, err := n.eng.Summary(k)
+	if err != nil {
+		return nil, "", err
+	}
+	if n.sum == nil || !n.sum.SamePlan(sum) {
+		n.sumBuilds++
+		n.sumTag = n.sumPrefix + "-" + strconv.FormatUint(n.sumBuilds, 10)
+	}
+	n.sum, n.sumData, n.sumEpoch = sum, sum.Encode(), epoch
+	return n.sumData, n.sumTag, nil
 }

@@ -188,10 +188,11 @@ func TestAggregatorMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	for series, want := range map[string]string{
-		"tp_agg_queries_total":      "2",
-		"tp_agg_query_errors_total": "0",
-		"tp_agg_full_fetches_total": "1",
-		"tp_agg_cache_hits_total":   "1",
+		"tp_agg_queries_total":         "2",
+		"tp_agg_query_errors_total":    "0",
+		"tp_agg_summary_fetches_total": "1",
+		"tp_agg_full_fetches_total":    "0",
+		"tp_agg_cache_hits_total":      "1",
 		// The second query revalidates (304), keeps the same state
 		// fingerprint, and reuses the cached merge plan — so only the
 		// first query pays a plan build.
@@ -220,19 +221,20 @@ func TestAggregatorMetricsExposition(t *testing.T) {
 	}
 	c := agg.Counters()
 	for series, want := range map[string]int64{
-		"tp_agg_cache_hits_total":    c.CacheHits,
-		"tp_agg_delta_fetches_total": c.DeltaFetches,
-		"tp_agg_full_fetches_total":  c.FullFetches,
-		"tp_agg_bytes_fetched_total": c.BytesFetched,
-		"tp_agg_plan_hits_total":     c.PlanHits,
-		"tp_agg_plan_rebuilds_total": c.PlanRebuilds,
+		"tp_agg_cache_hits_total":      c.CacheHits,
+		"tp_agg_summary_fetches_total": c.SummaryFetches,
+		"tp_agg_delta_fetches_total":   c.DeltaFetches,
+		"tp_agg_full_fetches_total":    c.FullFetches,
+		"tp_agg_bytes_fetched_total":   c.BytesFetched,
+		"tp_agg_plan_hits_total":       c.PlanHits,
+		"tp_agg_plan_rebuilds_total":   c.PlanRebuilds,
 	} {
 		if got, ok := expositionValue(t, text, series); !ok || got != strconv.FormatInt(want, 10) {
 			t.Errorf("%s = %q (present %v), but Counters reports %d", series, got, ok, want)
 		}
 	}
-	if c.CacheHits != 1 || c.FullFetches != 1 {
-		t.Fatalf("counters = %+v, want 1 full fetch + 1 cache hit", c)
+	if c.CacheHits != 1 || c.SummaryFetches != 1 || c.FullFetches != 0 {
+		t.Fatalf("counters = %+v, want 1 summary fetch + 1 cache hit", c)
 	}
 }
 

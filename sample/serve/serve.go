@@ -18,16 +18,21 @@
 // a recent state the node still holds gets a wire-v2 delta instead of
 // the full bytes. A ticker checkpoints into a pluggable SnapshotStore
 // on the same economy (full snapshots on the FullEvery cadence, deltas
-// between; Restore folds the chain back). An Aggregator holds no
-// sampler state — only a per-node snapshot cache keyed by those state
-// names: per query it revalidates every node (304s, folded deltas, or
-// full refetches; counted by the tp_agg_* series on GET /metrics),
-// restores a changed node's per-shard pools once per state name
-// (snap.RestorePools), and draws from a merge plan wired over every
-// node's pools (snap.PlanPools) — the m_j/m mixture of Theorem 3.1's
-// composition argument, now spanning machines. See DESIGN.md §5 for
-// the full architecture, the snapshot-cache contract, and the
-// staleness contract.
+// between; Restore folds the chain back). GET /summary serves what a
+// global query needs from the node: the acceptance summary of the
+// query plan its local queries share (snap.Summary: ζ_j, the per-pool
+// masses and every accepted trial per query group), with an ETag that
+// names the plan instance. An Aggregator holds no sampler state — only
+// a per-node cache of those summaries: per query it revalidates every
+// node (a 304 for a node whose plan has not moved; counted by the
+// tp_agg_* series on GET /metrics) and draws from a merge plan that
+// mixes the summaries under one ζ = max_j ζ_j, thinning each node's
+// acceptances to it (snap.PlanSummaries) — the m_j/m mixture of
+// Theorem 3.1's composition argument, now spanning machines. Nodes that
+// do not summarize (sampler nodes) are fetched through GET /snapshot
+// instead (304s, folded deltas, or full refetches) and summarized on
+// the aggregator. See DESIGN.md §5 and §9 for the full architecture,
+// the cache contracts, and the staleness contract.
 //
 // # Why the aggregator's answer is exact
 //
@@ -37,9 +42,12 @@
 // single-machine per-trial law G(f_i)/(ζm) — the same telescoping
 // argument sample/shard makes for goroutines and sample/snap makes for
 // processes, applied here to every (node, shard) pool in the fleet at
-// once. The aggregator pays zero distributional cost for distribution;
-// its only approximation is temporal: an answer reflects each node's
-// state at snapshot-fetch time, not at response-write time.
+// once. Thinning a node's acceptances from its own bound ζ_j to the
+// fleet's ζ with Bernoulli(ζ_j/ζ) coins multiplies the per-trial
+// acceptance to Inc(c)/ζ, the law every trial needs. The aggregator
+// pays zero distributional cost for distribution; its only
+// approximation is temporal: an answer reflects each node's state at
+// fetch time, not at response-write time.
 //
 // The usual caveats ride along unchanged from snap.Merge: nodes must
 // use distinct coordinator seeds (pool independence is part of the
@@ -80,7 +88,8 @@ import (
 // Wire DTOs shared by the node handlers, the aggregator handlers and
 // the Client. All responses are JSON except GET /snapshot, which
 // returns the raw snapshot bytes (application/octet-stream) with the
-// content-addressed snap.Name in the X-Snapshot-Name header.
+// content-addressed snap.Name in the X-Snapshot-Name header, and
+// GET /summary, which returns an encoded snap.Summary.
 
 // The ingest content-types POST /ingest negotiates by the request's
 // Content-Type header. JSON is the default for any unrecognized value
@@ -176,24 +185,26 @@ type AggregatorStats struct {
 }
 
 // AggregatorCounters is a point-in-time copy of an aggregator's
-// snapshot-cache and transfer counters (Aggregator.Counters), read
-// from the same counters GET /metrics serves as
-// tp_agg_{cache_hits,delta_fetches,full_fetches,bytes_fetched,
-// plan_hits,plan_rebuilds}_total. Per queried node and
-// query, exactly one of CacheHits / DeltaFetches / FullFetches
-// advances: a 304 revalidation, a v2 delta folded onto the cached
-// state, or a full v1 fetch. BytesFetched counts response-body bytes —
-// the cluster bandwidth the cache and the delta path exist to save.
-// Per successful query, exactly one of PlanHits / PlanRebuilds
-// advances: the merge plan was reused (every node's state name
-// unchanged) or rebuilt (DESIGN.md §9).
+// node-cache and transfer counters (Aggregator.Counters), read from the
+// same counters GET /metrics serves as
+// tp_agg_{cache_hits,summary_fetches,delta_fetches,full_fetches,
+// bytes_fetched,plan_hits,plan_rebuilds}_total. Per queried node and
+// query, exactly one of CacheHits / SummaryFetches / DeltaFetches /
+// FullFetches advances: a 304 revalidation, a fetched acceptance
+// summary, a v2 delta folded onto the cached snapshot of a node that
+// does not summarize, or a full v1 snapshot fetch. BytesFetched counts
+// response-body bytes — the cluster bandwidth the cache exists to
+// save. Per successful query, exactly one of PlanHits / PlanRebuilds
+// advances: the merge plan was reused (no node's cache entry moved) or
+// rebuilt (DESIGN.md §9).
 type AggregatorCounters struct {
-	CacheHits    int64 `json:"cacheHits"`
-	DeltaFetches int64 `json:"deltaFetches"`
-	FullFetches  int64 `json:"fullFetches"`
-	BytesFetched int64 `json:"bytesFetched"`
-	PlanHits     int64 `json:"planHits"`
-	PlanRebuilds int64 `json:"planRebuilds"`
+	CacheHits      int64 `json:"cacheHits"`
+	SummaryFetches int64 `json:"summaryFetches"`
+	DeltaFetches   int64 `json:"deltaFetches"`
+	FullFetches    int64 `json:"fullFetches"`
+	BytesFetched   int64 `json:"bytesFetched"`
+	PlanHits       int64 `json:"planHits"`
+	PlanRebuilds   int64 `json:"planRebuilds"`
 }
 
 // errorBody is the JSON error envelope every non-2xx response carries.

@@ -113,6 +113,7 @@
 package shard
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -613,13 +614,63 @@ func (c *Coordinator) sharePlan(k int) (plan *snap.MergePlan, src rng.PCG, share
 	return c.plan, c.src.SplitPCG(), shared
 }
 
+// Summary answers an aggregator from the query plan local queries
+// share (see snap.Summary): the per-shard spec, the coordinator's ζ,
+// every shard's mass and every accepted trial of each materialized
+// group — at least min(k, Queries) groups. When ingest has moved the
+// stream since the cached plan was built it drains and builds a new
+// one, and it materializes missing groups, exactly as a local query
+// would; only then does it bump the state epoch. It never splits the
+// mixture RNG, so a summary served from a current plan changes nothing
+// Snapshot encodes. epoch is the state epoch after the call, read under
+// the same mutex hold as the summary: equal epochs bracket an interval
+// in which the summary stayed current. An empty stream builds no plan
+// and summarizes to empty groups over zero masses. Custom measures
+// have no wire spec and error, as Snapshot does. Safe from any
+// goroutine.
+func (c *Coordinator) Summary(k int) (sum *snap.Summary, epoch uint64, err error) {
+	if k < 1 {
+		panic("shard: Summary needs k ≥ 1")
+	}
+	k = min(k, c.queries)
+	if !c.spec.known {
+		return nil, 0, fmt.Errorf("shard: custom measures cannot be snapshotted")
+	}
+	spec, err := c.spec.samplerSpec(c.queries)
+	if err != nil {
+		return nil, 0, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ensureOpen()
+	if c.plan == nil || c.planVersion != c.version {
+		c.drainLocked()
+		if c.total == 0 {
+			groups := make([][][]core.Acceptance, k)
+			for q := range groups {
+				groups[q] = make([][]core.Acceptance, len(c.pools))
+			}
+			return &snap.Summary{Spec: spec, Zeta: c.zeta(c), Lens: make([]int64, len(c.pools)), Groups: groups}, c.epoch, nil
+		}
+		c.plan = snap.PoolPlan(c.pools, c.zeta(c), c.queries)
+		c.planVersion = c.version
+	}
+	if sum = c.plan.Summary(spec); !sum.Covers(k) {
+		c.epoch++
+		c.plan.Materialize(k)
+		sum = c.plan.Summary(spec)
+	}
+	return sum, c.epoch, nil
+}
+
 // Epoch reports the coordinator's state epoch, a counter bumped under
 // the coordinator mutex by every call that can change the bytes
 // Snapshot encodes: routed ingest (Process, and ProcessBatch with a
 // non-empty batch), every query (Sample, SampleK and their variants —
 // each advances the mixture RNG, and a plan build or materialization
-// draws pool coins) and Close. Snapshot, SnapshotDelta, Drain and the
-// read-only accessors leave it alone. Equal readings therefore bracket
+// draws pool coins), a Summary that builds or extends the plan, and
+// Close. Snapshot, SnapshotDelta, Drain, a Summary served from the
+// current plan and the read-only accessors leave it alone. Equal readings therefore bracket
 // an interval in which Snapshot's output could not change, which makes
 // the epoch a cache key for cut bytes — provided it is read before the
 // cut: a reading taken after could tag older bytes with a newer epoch.

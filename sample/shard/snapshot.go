@@ -212,36 +212,46 @@ func SamplerStates(data []byte) ([]sample.State, error) {
 // snapshot. The states share the pools' memory with d and must not be
 // modified.
 func (d *CoordinatorState) SamplerStates() ([]sample.State, error) {
+	spec, err := d.spec.samplerSpec(d.cfg.Queries)
+	if err != nil {
+		return nil, err
+	}
 	states := make([]sample.State, d.cfg.Shards)
-	switch d.spec.kind {
+	for j := range states {
+		if spec.Kind == sample.KindLp {
+			lp := core.LpSamplerState{Pool: d.pools[j], MG: d.mgs[j]}
+			states[j] = sample.State{Spec: spec, Lp: &lp}
+		} else {
+			pool := d.pools[j]
+			states[j] = sample.State{Spec: spec, G: &pool}
+		}
+	}
+	return states, nil
+}
+
+// samplerSpec re-expresses the constructor spec as the equivalent
+// single-sampler Spec every shard pool answers to: New → KindMEstimator,
+// NewLp → KindLp, and NewL1 → KindL1.
+func (s coordSpec) samplerSpec(queries int) (sample.Spec, error) {
+	switch s.kind {
 	case coordMeasure:
-		spec := sample.Spec{Kind: sample.KindMEstimator, Measure: d.spec.measure,
-			Tau: d.spec.tau, M: d.spec.m, Delta: d.spec.delta,
-			Queries: d.cfg.Queries, Seed: d.spec.seed}
-		if d.spec.measure == "lp" && d.spec.tau == 1 && d.spec.m == 1 {
+		if s.measure == "lp" && s.tau == 1 && s.m == 1 {
 			// Exactly what shard.NewL1 builds — surface it as KindL1 so
 			// the states merge with bare sample.NewL1 snapshots (the two
 			// constructors build identical pools; only the spec label
 			// differs, and compatibleSpecs compares labels).
-			spec = sample.Spec{Kind: sample.KindL1, Delta: d.spec.delta,
-				Queries: d.cfg.Queries, Seed: d.spec.seed}
+			return sample.Spec{Kind: sample.KindL1, Delta: s.delta,
+				Queries: queries, Seed: s.seed}, nil
 		}
-		for j := range states {
-			pool := d.pools[j]
-			states[j] = sample.State{Spec: spec, G: &pool}
-		}
+		return sample.Spec{Kind: sample.KindMEstimator, Measure: s.measure,
+			Tau: s.tau, M: s.m, Delta: s.delta,
+			Queries: queries, Seed: s.seed}, nil
 	case coordLp:
-		spec := sample.Spec{Kind: sample.KindLp, P: d.spec.p, N: d.spec.n,
-			M: d.spec.m, Delta: d.spec.delta,
-			Queries: d.cfg.Queries, Seed: d.spec.seed}
-		for j := range states {
-			lp := core.LpSamplerState{Pool: d.pools[j], MG: d.mgs[j]}
-			states[j] = sample.State{Spec: spec, Lp: &lp}
-		}
-	default:
-		return nil, fmt.Errorf("shard: unknown coordinator kind %d", d.spec.kind)
+		return sample.Spec{Kind: sample.KindLp, P: s.p, N: s.n,
+			M: s.m, Delta: s.delta,
+			Queries: queries, Seed: s.seed}, nil
 	}
-	return states, nil
+	return sample.Spec{}, fmt.Errorf("shard: unknown coordinator kind %d", s.kind)
 }
 
 // Describe returns a short human-readable rendering of the constructor

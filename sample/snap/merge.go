@@ -252,16 +252,8 @@ func planPools(pools []*Pool) (*MergePlan, error) {
 	}
 	// One global ζ for every trial of every pool. For Lp with p > 1 it
 	// comes from the per-snapshot Misra–Gries bounds (max over
-	// item-disjoint shards: ‖f‖∞ = max_j ‖f⁽ʲ⁾‖∞ ≤ max_j Z_j);
-	// everywhere else the measure's own bound at the total stream mass
-	// is valid and data-independent.
-	var zeta float64
-	if spec.Kind == sample.KindLp && spec.P > 1 {
-		zeta = measure.Lp{P: spec.P}.Zeta(max(maxBound, 1))
-	} else {
-		zeta = pools[0].h.G.Zeta(max(total, 1))
-	}
-	p := PoolPlan(live, zeta, spec.Queries)
+	// item-disjoint shards: ‖f‖∞ = max_j ‖f⁽ʲ⁾‖∞ ≤ max_j Z_j).
+	p := PoolPlan(live, boundZeta(spec, pools[0].h.G, maxBound, total), spec.Queries)
 	p.kind = spec.Kind
 	copies := make([]rng.PCG, len(live))
 	for j, coins := range p.coins {
@@ -269,6 +261,17 @@ func planPools(pools []*Pool) (*MergePlan, error) {
 		p.coins[j] = &copies[j]
 	}
 	return p, nil
+}
+
+// boundZeta is the increment bound for pools of one spec: for Lp with
+// p > 1 the measure's bound at the largest Misra–Gries bound on ‖f‖∞
+// among them, everywhere else the measure's own bound at the stream
+// mass, which is valid and data-independent.
+func boundZeta(spec sample.Spec, g sample.Measure, maxBound, total int64) float64 {
+	if spec.Kind == sample.KindLp && spec.P > 1 {
+		return measure.Lp{P: spec.P}.Zeta(max(maxBound, 1))
+	}
+	return g.Zeta(max(total, 1))
 }
 
 // buildF0 union-merges the per-repetition states; draws restore a

@@ -25,7 +25,7 @@ const mergeSeedMix = 0x5eed5eed5eed5eed
 // BuildMergePlan, then answer any number of queries with SampleK/Draw,
 // each of which costs only fresh mixture draws (plus, for the
 // framework kinds, a one-time lazy materialization of each query
-// group's first-acceptance table).
+// group's acceptance table).
 //
 // Why caching preserves the law: the per-instance acceptance coins are
 // frozen inside the snapshotted pool states — a fresh MergeStates per
@@ -60,15 +60,19 @@ type MergePlan struct {
 	// Framework kinds: pools mixed by stream mass, the coin stream each
 	// pool's trials flip from (the pool's own for PoolPlan, a plan-owned
 	// copy for restored pools several plans share), plus the per-group
-	// first-acceptance tables Materialize fills from them.
+	// acceptance tables Materialize fills from them. A plan over
+	// summaries (PlanSummaries) has no pools: its tables are complete
+	// when it is built.
 	pools []*core.GSampler
 	coins []*rng.PCG
 	mu    sync.Mutex
-	// groups[q][j] is pool j's first accepted trial in group q, coins
-	// already flipped. Entries are append-only under mu and immutable
-	// once built, so readers that obtained a prefix under mu may index
-	// it lock-free.
-	groups [][]firstAccept
+	// groups[q][j] lists pool j's accepted trials in group q in index
+	// order, coins already flipped: every acceptance for a plan over
+	// pools, the first survivor of thinning for a plan over summaries.
+	// A draw reads only the first entry. Entries are append-only under
+	// mu and immutable once built, so readers that obtained a prefix
+	// under mu may index it lock-free.
+	groups [][][]core.Acceptance
 
 	// Matrix kinds: decoded per-shard samplers whose instances each
 	// draw drives through Trial with its own coin stream.
@@ -167,9 +171,10 @@ func (p *MergePlan) Shards() int { return p.shards }
 func (p *MergePlan) StreamLen() int64 { return p.total }
 
 // Queries returns the provisioned query-group count (1 for the matrix
-// and single-sampler kinds).
+// and single-sampler kinds; for a plan over summaries, the fewest
+// groups any summary covers).
 func (p *MergePlan) Queries() int {
-	if p.pools == nil {
+	if p.single != nil || p.matrix != nil {
 		return 1
 	}
 	return p.queries
@@ -223,7 +228,7 @@ func (p *MergePlan) Draw(qseed uint64) (sample.Outcome, bool) {
 //
 // A plan over pools that keep ingesting (PoolPlan) must have been
 // materialized to at least k groups while its pools were still idle:
-// DrawK then only reads the frozen first-acceptance tables.
+// DrawK then only reads the frozen acceptance tables.
 func (p *MergePlan) DrawK(src *rng.PCG, k int) ([]sample.Outcome, int) {
 	if k < 1 {
 		panic("snap: SampleK needs k ≥ 1")
@@ -282,38 +287,39 @@ func (p *MergePlan) sampleMatrix(src *rng.PCG) ([]sample.Outcome, int) {
 	return nil, 0
 }
 
-// firstAccept is one pool's whole contribution to a query group: the
-// index of its first accepted trial (−1 when none accepted) and that
-// trial's outcome. mergeGroup stops at a pool's first acceptance, so
-// the trials after it can never reach an answer.
-type firstAccept struct {
-	at         int
-	item, freq int64
-}
-
 // Materialize flips the coins of groups [0, k) of every pool's trials
-// and keeps, per pool and group, only the first acceptance. Groups are
-// always filled in increasing order, so each pool's coin consumption
-// is a deterministic function of the pool states alone — two plans
-// built from equal states answer equal draws for equal qseeds, which
-// is what makes the aggregator's cached plan bit-for-bit reproducible.
-// A plan over live pools (PoolPlan) must be materialized while they
-// are idle; DrawK materializes on demand otherwise.
+// and keeps, per pool and group, every acceptance in index order: a
+// draw reads the first, a node's summary (Summary) ships them all.
+// Groups are always filled in increasing order, so each pool's coin
+// consumption is a deterministic function of the pool states alone —
+// two plans built from equal states answer equal draws for equal
+// qseeds, which is what makes the aggregator's cached plan
+// bit-for-bit reproducible. A plan over live pools (PoolPlan) must be
+// materialized while they are idle; DrawK materializes on demand
+// otherwise.
 func (p *MergePlan) Materialize(k int) { p.materialize(k) }
 
 // materialize is Materialize returning the stable, capacity-capped
 // prefix of k group tables.
-func (p *MergePlan) materialize(k int) [][]firstAccept {
+func (p *MergePlan) materialize(k int) [][][]core.Acceptance {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if cap(p.groups) < k {
 		p.groups = slices.Grow(p.groups, k-len(p.groups))
 	}
+	ends := make([]int, len(p.pools))
 	for q := len(p.groups); q < k; q++ {
-		group := make([]firstAccept, len(p.pools))
+		// One backing array per group, cut into per-pool runs.
+		var accs []core.Acceptance
 		for j, pool := range p.pools {
-			at, out := pool.FirstAcceptance(q, p.zeta, p.coins[j])
-			group[j] = firstAccept{at: at, item: out.Item, freq: out.AfterCount}
+			accs = pool.Acceptances(q, p.zeta, p.coins[j], accs)
+			ends[j] = len(accs)
+		}
+		group := make([][]core.Acceptance, len(p.pools))
+		start := 0
+		for j, end := range ends {
+			group[j] = accs[start:end:end]
+			start = end
 		}
 		p.groups = append(p.groups, group)
 	}
@@ -325,16 +331,17 @@ func (p *MergePlan) materialize(k int) [][]firstAccept {
 // with probability m_j/m, and the first acceptance wins — exactly the
 // single-machine pool law (see the sample/shard package comment). The
 // trial it lands on accepts iff it is that pool's first acceptance,
-// since every earlier trial of the pool rejected. Trials are
-// independent of the draw sequence, so the output law is unchanged by
-// the eager materialization. src and used are per-request state, so
-// concurrent draws share one plan.
-func (p *MergePlan) mergeGroup(src *rng.PCG, used []int, group []firstAccept) (sample.Outcome, bool) {
+// since every earlier trial of the pool rejected, so the pool's later
+// acceptances can never reach an answer. Trials are independent of the
+// draw sequence, so the output law is unchanged by the eager
+// materialization. src and used are per-request state, so concurrent
+// draws share one plan.
+func (p *MergePlan) mergeGroup(src *rng.PCG, used []int, group [][]core.Acceptance) (sample.Outcome, bool) {
 	clear(used)
 	for t := 0; t < p.budget; t++ {
 		j := drawSnapshot(src, p.lens, p.total)
-		if used[j] == group[j].at {
-			return sample.Outcome{Item: group[j].item, Freq: group[j].freq}, true
+		if accs := group[j]; len(accs) > 0 && used[j] == accs[0].At {
+			return sample.Outcome{Item: accs[0].Item, Freq: accs[0].AfterCount}, true
 		}
 		used[j]++
 	}
